@@ -4,15 +4,13 @@ Times the calibrated dispatch layer against the untuned heuristics and
 writes the measurements to ``BENCH_PR6.json`` at the repo root (CI uploads
 it as an artifact):
 
-* **Tune validation** — a quick ``repro tune`` run must predict the
-  measured-fastest kernel plan on >= 80% of its microbenchmark grid.
 * **Tuned memo-cold fig8** — the hammer-heavy Figure-8 BV sweep, cold
   caches on both sides, tuned vs untuned: rows must be **bit-identical**
   (the cost model may only change *how* work is scheduled, never what is
   computed) and the tuned run must not regress.
 * **22k-support HAMMER** — the large-support reconstruction under the
-  tuned profile (profile-chosen plan + tile size) vs the untuned
-  heuristics, guarded against regression.
+  tuned profile (profile-chosen tile size) vs the untuned heuristics,
+  guarded against regression.
 
 Run locally with::
 
@@ -67,29 +65,12 @@ def tuned(bench_record):
     bench_record["tune"] = {
         "quick": True,
         "seconds": report.summary["tune_seconds"],
-        "kernel_agreement": report.summary["kernel_agreement"],
         "chunk_shots": report.summary["chunk_shots"],
         "parallel_min_seconds": report.summary["parallel_min_seconds"],
         "tile_entries": report.summary["tile_entries"],
         "fingerprint": profile.fingerprint(),
     }
     return profile, report
-
-
-def test_tune_predictions_match_measurements(bench_record, tuned):
-    """Guard: predicted-fastest == measured-fastest on >= 80% of the grid."""
-    profile, report = tuned
-    agreement = report.summary["kernel_agreement"]
-    grid = profile.validation["kernel_grid"]
-    print(
-        f"\ntune: kernel agreement {agreement:.0%} over {len(grid)} grid points "
-        f"in {report.summary['tune_seconds']:.1f}s"
-    )
-    assert len(grid) >= 4
-    assert agreement >= 0.8, (
-        f"cost curves mispredict the fastest kernel plan on "
-        f"{1 - agreement:.0%} of the tuning grid"
-    )
 
 
 def _run_fig8_sweep():

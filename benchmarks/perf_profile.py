@@ -4,14 +4,15 @@ This harness times the two hot paths the kernel/batching pass rewrote and
 writes the measurements to ``BENCH_PR5.json`` at the repo root (the seed of
 the repo's bench trajectory; CI uploads it as an artifact on main):
 
-* **Fused HAMMER kernels** — the shape-dispatched tiled/streaming kernels
-  against the PR 4 two-pass arithmetic (``REPRO_HAMMER_KERNEL=legacy``) on a
-  >= 20k-outcome support, guarded at >= 2x, plus a wide-register (63-bit)
-  case exercising the multi-word popcount path.
+* **Fused HAMMER kernels** — the dispatched large-support kernel against
+  the two-pass ``dense`` arithmetic forced at any size
+  (``REPRO_HAMMER_KERNEL=dense``) on a >= 20k-outcome support, guarded at
+  >= 2x, plus a wide-register (63-bit) case exercising the multi-word
+  popcount path.
 * **Memo-cold sweep** — a hammer-heavy Figure-8 BV sweep (widths 12-14 at
-  32k shots) run end to end, cold caches on both sides, fused vs legacy
-  kernels, guarded at >= 2x; the fused run's per-phase attribution
-  (transpile / ideal / sample / hammer) is recorded.
+  32k shots) run end to end, cold caches on both sides, dispatched vs
+  forced-``dense`` kernels, guarded at >= 2x; the fused run's per-phase
+  attribution (transpile / ideal / sample / hammer) is recorded.
 * **Batched + sharded sampling** — the engine's grouped multi-seed sampling
   against the per-job loop it replaced (same RNG streams, bit-identical
   histograms), and a million-shot sharded job demonstrating bounded-memory
@@ -89,24 +90,24 @@ def _time_hammer(distribution, plan: str) -> tuple[float, str]:
 
 
 def test_fused_hammer_large_support_speedup(bench_record):
-    """Guard: fused HAMMER >= 2x the PR 4 kernel on a >= 20k-outcome support."""
+    """Guard: fused HAMMER >= 2x forced ``dense`` on a >= 20k-outcome support."""
     dist = _clustered_distribution(width=16, min_support=20_000, seed=5)
     dist.packed()  # pack outside the timed region, as the pipeline does
     _time_hammer(dist, "auto")  # warm both code paths / allocators
-    legacy_seconds, _ = _time_hammer(dist, "legacy")
+    dense_seconds, _ = _time_hammer(dist, "dense")
     fused_seconds, fused_plan = _time_hammer(dist, "auto")
-    speedup = legacy_seconds / fused_seconds
+    speedup = dense_seconds / fused_seconds
     bench_record["hammer_large_support"] = {
         "width": dist.num_bits,
         "support": dist.num_outcomes,
-        "legacy_seconds": legacy_seconds,
+        "dense_seconds": dense_seconds,
         "fused_seconds": fused_seconds,
         "fused_plan": fused_plan,
         "speedup": speedup,
     }
     print(
         f"\nHAMMER {dist.num_outcomes}-outcome support (width {dist.num_bits}): "
-        f"legacy {legacy_seconds:.3f}s -> {fused_plan} {fused_seconds:.3f}s "
+        f"dense {dense_seconds:.3f}s -> {fused_plan} {fused_seconds:.3f}s "
         f"({speedup:.1f}x)"
     )
     assert dist.num_outcomes >= 20_000
@@ -114,24 +115,24 @@ def test_fused_hammer_large_support_speedup(bench_record):
 
 
 def test_fused_hammer_wide_register_speedup(bench_record):
-    """Guard: the multi-word (63-bit) path also beats legacy >= 2x."""
+    """Guard: the multi-word (63-bit) path also beats forced ``dense`` >= 2x."""
     dist = _clustered_distribution(width=63, min_support=8_000, seed=6)
     dist.packed()
     _time_hammer(dist, "auto")
-    legacy_seconds, _ = _time_hammer(dist, "legacy")
+    dense_seconds, _ = _time_hammer(dist, "dense")
     fused_seconds, fused_plan = _time_hammer(dist, "auto")
-    speedup = legacy_seconds / fused_seconds
+    speedup = dense_seconds / fused_seconds
     bench_record["hammer_wide_register"] = {
         "width": dist.num_bits,
         "support": dist.num_outcomes,
-        "legacy_seconds": legacy_seconds,
+        "dense_seconds": dense_seconds,
         "fused_seconds": fused_seconds,
         "fused_plan": fused_plan,
         "speedup": speedup,
     }
     print(
         f"\nHAMMER {dist.num_outcomes}-outcome support (width {dist.num_bits}): "
-        f"legacy {legacy_seconds:.3f}s -> {fused_plan} {fused_seconds:.3f}s "
+        f"dense {dense_seconds:.3f}s -> {fused_plan} {fused_seconds:.3f}s "
         f"({speedup:.1f}x)"
     )
     assert speedup >= 2.0, f"wide-register speedup regressed: {speedup:.2f}x < 2x"
@@ -161,17 +162,17 @@ def test_memo_cold_sweep_speedup(bench_record):
         engine=ExecutionEngine(),
     )
 
-    tuning.set_kernel_override("legacy")
+    tuning.set_kernel_override("dense")
     try:
-        legacy_seconds = _run_fig8_sweep()
+        dense_seconds = _run_fig8_sweep()
     finally:
         tuning.set_kernel_override(None)
     with collect_phases() as phases:
         fused_seconds = _run_fig8_sweep()
-    speedup = legacy_seconds / fused_seconds
+    speedup = dense_seconds / fused_seconds
     bench_record["memo_cold_fig8_sweep"] = {
         "config": {"qubit_range": [12, 14], "keys_per_size": 1, "shots": 32_768},
-        "legacy_seconds": legacy_seconds,
+        "dense_seconds": dense_seconds,
         "fused_seconds": fused_seconds,
         "speedup": speedup,
         "fused_phases": {
@@ -179,7 +180,7 @@ def test_memo_cold_sweep_speedup(bench_record):
         },
     }
     print(
-        f"\nmemo-cold fig8 sweep: legacy {legacy_seconds:.2f}s -> "
+        f"\nmemo-cold fig8 sweep: dense {dense_seconds:.2f}s -> "
         f"fused {fused_seconds:.2f}s ({speedup:.1f}x); phases: "
         + ", ".join(f"{r['phase']} {r['seconds']:.2f}s" for r in phases.as_rows())
     )

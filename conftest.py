@@ -37,21 +37,3 @@ def pytest_addoption(parser):
         help="rewrite tests/golden/*.json fixtures instead of asserting against them",
     )
 
-
-def pytest_collection_modifyitems(config, items):
-    """Auto-skip ``gpu``-marked tests when no CuPy/CUDA device is usable.
-
-    The GPU kernel tier is strictly optional — CI images without CuPy must
-    see these tests *skipped*, never failed.  (The fallback behaviour itself
-    is covered by unmarked tests that run everywhere.)
-    """
-    import pytest
-
-    from repro.core.kernels import gpu_available
-
-    if gpu_available():
-        return
-    skip_gpu = pytest.mark.skip(reason="CuPy/CUDA unavailable: GPU kernel tier not testable")
-    for item in items:
-        if "gpu" in item.keywords:
-            item.add_marker(skip_gpu)

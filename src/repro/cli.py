@@ -61,7 +61,7 @@ workers on networks where every keyed peer is trusted.
 ``tune`` runs the one-time cost-model microbenchmarks
 (:mod:`repro.engine.autotune`) and persists the fitted
 :class:`~repro.core.costmodel.MachineProfile`; every later run consults it
-for kernel / shard / worker / backend dispatch (results stay bit-identical
+for tile-size / shard / worker / backend dispatch (results stay bit-identical
 to untuned runs).  ``--profile PATH`` points any run — including worker
 processes — at a specific profile file (it is exported as
 ``REPRO_TUNE_PROFILE``); for ``tune`` it selects where the profile is

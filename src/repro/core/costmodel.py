@@ -1,27 +1,28 @@
 """Calibrated cost model behind the autoscheduling dispatchers.
 
-Every hot-path dispatch decision in the stack — which pairwise-Hamming
-kernel plan to run, whether (and how) to shard a large sampling job, how
-many worker processes a batch deserves, and which ideal-simulation backend
-to use for a Clifford circuit — was historically a hand-tuned heuristic
-with a fixed crossover.  This module replaces those constants with a
+Several dispatch decisions in the stack — whether (and how) to shard a
+large sampling job, how many worker processes a batch deserves, which
+ideal-simulation backend to use for a Clifford circuit, and the tile size
+of the pairwise-Hamming sweeps — were historically hand-tuned heuristics
+with fixed crossovers.  This module replaces those constants with a
 *calibrated* model in the style of Ahrens & Kjolstad's asymptotic
 cost-model autoscheduling: ``repro tune`` (see
 :mod:`repro.engine.autotune`) times each implementation across a small
 deterministic microbenchmark grid once per machine, fits the known
-asymptotic cost terms by least squares (e.g. ``a·N²·w + b·N + c`` for the
-pairwise kernels), and persists the fitted curves as a versioned
+asymptotic cost terms by least squares (e.g. ``a·shots·qubits + b·shots +
+c`` for the sampler), and persists the fitted curves as a versioned
 :class:`MachineProfile` JSON.  The dispatchers then rank implementations by
-*predicted* seconds instead of by fixed thresholds.
+*predicted* seconds instead of by fixed thresholds.  The HAMMER kernel plan
+is not among them: it follows support size alone (see
+:func:`repro.core.kernels.choose_plan`).
 
 Precedence is strict and uniform across every consumer::
 
     explicit env override  >  tuned MachineProfile  >  built-in heuristic
 
-(``REPRO_HAMMER_KERNEL`` beats the profile's kernel choice,
-``REPRO_SAMPLE_SHARD_SHOTS`` beats its shard layout, ``REPRO_TILE_ENTRIES``
-beats its tile sizing) — and with no profile on disk every consumer falls
-back to the historical heuristics **bit-identically**.
+(``REPRO_SAMPLE_SHARD_SHOTS`` beats the profile's shard layout,
+``REPRO_TILE_ENTRIES`` beats its tile sizing) — and with no profile on disk
+every consumer falls back to the historical heuristics **bit-identically**.
 
 The profile lives at ``~/.cache/repro/machine_profile.json`` by default;
 ``REPRO_TUNE_PROFILE`` points somewhere else (the values ``off`` / ``none``
@@ -76,14 +77,6 @@ ENV_PROFILE = "REPRO_TUNE_PROFILE"
 
 #: Env values that disable profile loading outright (no default path probe).
 _DISABLED_VALUES = frozenset({"", "off", "none", "disabled"})
-
-#: Plans the cost model may choose between at large supports.  ``dense`` is
-#: deliberately absent: supports ≤ ``DENSE_SUPPORT_MAX`` keep the historical
-#: bit-identical arithmetic (golden fixtures live there), and the profile
-#: must never move that boundary.  ``gpu`` is benchmarked only when a CUDA
-#: device is usable, and the dispatcher re-checks availability before
-#: honouring a profile that ranked it first (profiles travel).
-TUNABLE_KERNEL_PLANS = ("tiled", "streaming", "gpu")
 
 # ---------------------------------------------------------------------------
 # Cost-curve basis
@@ -220,9 +213,6 @@ class MachineProfile:
     tuning:
         Tuned sizing constants (``tile_entries``); consulted by
         :mod:`repro.core.tuning` below its env overrides.
-    kernels:
-        Plan name → cost curve over ``(n, w)`` for the large-support
-        pairwise-Hamming plans (:data:`TUNABLE_KERNEL_PLANS`).
     sampler:
         Bit-flip sampling cost over ``(shots, qubits)``.
     shard:
@@ -236,19 +226,15 @@ class MachineProfile:
     backends:
         Backend name → cost curve over ``(qubits, gates)`` for ideal
         simulation.
-    validation:
-        Prediction-vs-measured agreement of the tuning run (informational).
     """
 
     version: int = PROFILE_VERSION
     machine: dict[str, object] = field(default_factory=dict)
     tuning: dict[str, float] = field(default_factory=dict)
-    kernels: dict[str, CostCurve] = field(default_factory=dict)
     sampler: CostCurve | None = None
     shard: dict[str, float] = field(default_factory=dict)
     engine: dict[str, float] = field(default_factory=dict)
     backends: dict[str, CostCurve] = field(default_factory=dict)
-    validation: dict[str, object] = field(default_factory=dict)
 
     # -- serialization --------------------------------------------------
     def as_dict(self) -> dict[str, object]:
@@ -256,12 +242,10 @@ class MachineProfile:
             "version": self.version,
             "machine": dict(self.machine),
             "tuning": dict(self.tuning),
-            "kernels": {name: curve.as_dict() for name, curve in sorted(self.kernels.items())},
             "sampler": self.sampler.as_dict() if self.sampler is not None else None,
             "shard": dict(self.shard),
             "engine": dict(self.engine),
             "backends": {name: curve.as_dict() for name, curve in sorted(self.backends.items())},
-            "validation": dict(self.validation),
         }
 
     def to_json(self) -> str:
@@ -283,10 +267,6 @@ class MachineProfile:
             version=PROFILE_VERSION,
             machine=dict(payload.get("machine", {})),
             tuning={str(k): float(v) for k, v in dict(payload.get("tuning", {})).items()},
-            kernels={
-                str(name): CostCurve.from_dict(curve)
-                for name, curve in dict(payload.get("kernels", {})).items()
-            },
             sampler=CostCurve.from_dict(sampler) if sampler is not None else None,
             shard={str(k): float(v) for k, v in dict(payload.get("shard", {})).items()},
             engine={str(k): float(v) for k, v in dict(payload.get("engine", {})).items()},
@@ -294,7 +274,6 @@ class MachineProfile:
                 str(name): CostCurve.from_dict(curve)
                 for name, curve in dict(payload.get("backends", {})).items()
             },
-            validation=dict(payload.get("validation", {})),
         )
 
     @classmethod
@@ -308,40 +287,16 @@ class MachineProfile:
     def fingerprint(self) -> str:
         """Content hash of everything a scheduling decision can depend on.
 
-        ``machine`` and ``validation`` are provenance, not behaviour, and
-        are excluded — two profiles that schedule identically share a
-        fingerprint.
+        ``machine`` is provenance, not behaviour, and is excluded — two
+        profiles that schedule identically share a fingerprint.
         """
         payload = self.as_dict()
         payload.pop("machine", None)
-        payload.pop("validation", None)
         digest = hashlib.sha256(b"repro-machine-profile-v1")
         digest.update(json.dumps(payload, sort_keys=True).encode("utf-8"))
         return digest.hexdigest()
 
     # -- scheduling decisions -------------------------------------------
-    def predict_kernel_seconds(self, plan: str, num_outcomes: int, num_bits: int) -> float | None:
-        """Predicted seconds of one kernel plan at a (support, width) shape."""
-        curve = self.kernels.get(plan)
-        if curve is None:
-            return None
-        return curve.predict(n=num_outcomes, w=(num_bits + 63) // 64)
-
-    def kernel_plan(self, num_outcomes: int, num_bits: int) -> str | None:
-        """Cheapest tunable plan for the shape, or ``None`` (no opinion).
-
-        Only ever ranks :data:`TUNABLE_KERNEL_PLANS` — the dense/legacy
-        bit-stability boundary at small supports belongs to the caller.
-        Ties break toward the first plan in the tuple (deterministic).
-        """
-        best_plan: str | None = None
-        best_seconds = float("inf")
-        for plan in TUNABLE_KERNEL_PLANS:
-            seconds = self.predict_kernel_seconds(plan, num_outcomes, num_bits)
-            if seconds is not None and seconds < best_seconds:
-                best_plan, best_seconds = plan, seconds
-        return best_plan
-
     def predict_sample_seconds(self, shots: int, qubits: int) -> float | None:
         """Predicted seconds of one unsharded bit-flip sampling job."""
         if self.sampler is None:
@@ -504,7 +459,7 @@ def reset_active_profile() -> None:
 # ---------------------------------------------------------------------------
 # Decision recording
 # ---------------------------------------------------------------------------
-#: ``{kind: {"choice/source": count}}`` — e.g. ``{"kernel": {"tiled/profile": 3}}``.
+#: ``{kind: {"choice/source": count}}`` — e.g. ``{"kernel": {"levels/heuristic": 3}}``.
 _decisions: dict[str, dict[str, int]] = {}
 
 

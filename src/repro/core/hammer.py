@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.distribution import Distribution
 from repro.core.kernels import hammer_pass
 from repro.core.profiling import record_phase_seconds
+from repro.obs.metrics import counter_add
 from repro.obs.trace import trace_span
 from repro.core.weights import InverseChsWeights, WeightScheme, resolve_weight_scheme
 from repro.exceptions import DistributionError
@@ -111,8 +113,9 @@ class HammerResult:
     average_chs:
         The (unnormalised, Algorithm-1 style) cumulative Hamming strength
         vector computed in step 1.
-    scores:
-        The neighbourhood score of each outcome, keyed by outcome.
+    score_vector:
+        The neighbourhood score of each outcome, in the input's outcome
+        order; :attr:`scores` keys it by outcome.
     config:
         The configuration the run used.
     """
@@ -120,11 +123,21 @@ class HammerResult:
     distribution: Distribution
     weights: np.ndarray
     average_chs: np.ndarray
-    scores: dict[str, float]
+    score_vector: np.ndarray
     config: HammerConfig
     #: Kernel plan the pairwise pass dispatched to ("dense" for the exact
-    #: legacy arithmetic at small supports, "tiled"/"streaming" above).
+    #: historical arithmetic at small supports, "levels" above).
     kernel: str = "dense"
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        """The neighbourhood score of each outcome, keyed by outcome.
+
+        Built on first access: the reconstruction itself never needs the
+        string-keyed form.
+        """
+        outcomes = self.distribution.outcomes()
+        return {outcome: float(score) for outcome, score in zip(outcomes, self.score_vector)}
 
     @property
     def num_bits(self) -> int:
@@ -199,10 +212,9 @@ def neighborhood_scores(
     probabilities = packed.probabilities
     started = time.perf_counter()
 
-    # Steps 1-3 run through the shape-dispatched kernel layer: the CHS
-    # spectrum, the per-distance weights and the neighbourhood scores come
-    # back from one call (fused into a single pairwise traversal wherever the
-    # plan allows it).
+    # Steps 1-3 run through the kernel layer: the CHS spectrum, the
+    # per-distance weights and the neighbourhood scores come back from one
+    # call, with the plan it ran and the pairs it popcounted.
     scheme = resolve_weight_scheme(cfg.weight_scheme)
 
     def weight_fn(chs: np.ndarray) -> np.ndarray:
@@ -214,10 +226,10 @@ def neighborhood_scores(
     with trace_span(
         "kernel.hammer", support=packed.num_outcomes, width=packed.num_bits
     ) as span:
-        chs, weights, scores, plan = hammer_pass(
-            packed, probabilities, cutoff, weight_fn, cfg.use_filter
-        )
-        span.set(plan=plan)
+        kernel_pass = hammer_pass(packed, probabilities, cutoff, weight_fn, cfg.use_filter)
+        span.set(plan=kernel_pass.plan, rows=kernel_pass.rows, pairs=kernel_pass.pairs)
+    counter_add("kernel.hammer.pairs", kernel_pass.pairs)
+    scores = kernel_pass.scores
     if cfg.include_self_probability:
         scores = scores + probabilities
 
@@ -234,11 +246,11 @@ def neighborhood_scores(
         )
     return HammerResult(
         distribution=reconstructed,
-        weights=weights,
-        average_chs=chs,
-        scores={outcome: float(score) for outcome, score in zip(distribution.outcomes(), scores)},
+        weights=kernel_pass.weights,
+        average_chs=kernel_pass.chs,
+        score_vector=scores,
         config=cfg,
-        kernel=plan,
+        kernel=kernel_pass.plan,
     )
 
 

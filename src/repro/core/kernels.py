@@ -1,51 +1,43 @@
-"""Shape-adaptive pairwise Hamming kernels behind HAMMER and the CHS spectrum.
+"""Pairwise Hamming kernels behind HAMMER and the CHS spectrum.
 
 Every ``O(N^2)`` hot path of the reproduction — HAMMER's step-1 CHS
 accumulation, its step-3 neighbourhood scores, and ``average_chs`` — runs
-through this module.  A shape-based dispatcher picks the cheapest plan for
-each ``(support size, register width)``:
+through this module under one of two plans, chosen by support size alone:
 
 ``dense``
-    Small supports (``N <= 1024``).  The full pairwise structure fits in one
-    block, evaluated with the historical (PR 1-4) arithmetic: dense
-    Walsh–Hadamard CHS where the hypercube is cheap, blocked ordered-pair
-    popcounts otherwise, and a full ordered score pass.  This plan is kept
-    **bit-identical** to previous releases — the golden regression fixtures
-    (and every published row table at laptop scale) reproduce exactly.
+    Supports of at most :data:`DENSE_SUPPORT_MAX` outcomes.  The historical
+    two-pass arithmetic: the CHS spectrum from the dense Walsh–Hadamard
+    transform (WHT) where the hypercube is cheap, otherwise from blocked
+    ordered-pair popcounts, then one ordered pass over every pair for the
+    scores.  It is kept **bit-identical** to previous releases, so the
+    golden fixtures (all at most 1024 outcomes) reproduce exactly; forced
+    at any size (``REPRO_HAMMER_KERNEL=dense``) it is the reference
+    baseline.
 
-``tiled``
-    Large supports at device-scale widths (up to ~10 uint64 words).  The CHS
-    spectrum comes first — the dense Walsh–Hadamard transform in
-    ``O(n * 2^n)`` where the hypercube is cheap, otherwise one symmetric
-    triangular sweep — and with the per-distance weights then known, the
-    score pass walks only the upper triangle of the pair matrix in
-    cache-blocked tiles: each unordered pair's distance is popcounted
-    **once** and its gathered weight serves both score directions, halving
-    both the popcount and the gather work of the historical ordered pass.
+``levels``
+    Larger supports.  The CHS spectrum comes from the dense WHT where it is
+    eligible, otherwise from one symmetric sweep that popcounts each
+    unordered pair once.  The scores then use the shape of the paper's
+    filter: an outcome gains credit only from neighbours of *strictly
+    lower* probability.  Histogram probabilities are counts over shots, so
+    a support falls on a few dozen count levels, and on wide registers most
+    outcomes sit on the lowest one.  Outcomes are stably sorted by
+    probability and
 
-``streaming``
-    Large supports on very wide registers (>= ~640 bits), where per-pair
-    popcount work dominates every accumulation.  One fused triangular
-    traversal accumulates the CHS histogram *and* a per-row filtered
-    distance-mass matrix ``M[x, d] = sum(P(y) : d(x,y)=d, P(y)<P(x))`` in
-    bounded-memory tile chunks; the scores then follow as a single ``M @ W``
-    product.  The packed matrix is traversed exactly once (PR 4 walked it
-    once for the CHS spectrum and again for the scores).
+    * every row on the lowest level is skipped: it has no strictly-lower
+      neighbour, so its neighbourhood score is exactly zero;
+    * each remaining row tile is popcounted only against the prefix of
+      columns below its highest level, gathered through ``W[d]`` and
+      reduced by one matvec;
+    * the ``p_i > p_j`` mask is applied only to the narrow strip of columns
+      whose level falls inside the tile's own level range — every column
+      left of that strip is strictly lower than every row of the tile.
 
-``legacy``
-    The PR 4 two-pass arithmetic at *any* support size.  Never chosen by the
-    dispatcher — it exists as the benchmark baseline and as the differential
-    reference for the property tests (``REPRO_HAMMER_KERNEL=legacy``).
-
-``gpu``
-    The tiled arithmetic with the per-tile XOR/popcount distance matrices
-    computed on a CUDA device through CuPy (``__popcll`` elementwise
-    kernel).  Distances are exact integers, and every float accumulation
-    (bincounts, gathers, matmuls) stays on the CPU in the tiled plan's
-    order, so results are **bit-identical** to ``tiled``.  Auto-detected
-    when CuPy and a device are present; ``REPRO_HAMMER_KERNEL=gpu`` forces
-    it, and without a usable device the plan degrades to ``tiled`` with a
-    one-time warning rather than failing.
+    The skipped pairs contribute exactly zero under the filter, so
+    ``levels`` differs from ``dense`` only in floating-point summation
+    order.  Without the filter every column is scored with ``W[0]`` zeroed:
+    the outcomes of a support are distinct, so distance 0 is the outcome
+    itself, the one pair the unfiltered rule excludes.
 
 The popcount primitive is runtime-dispatched at import: ``np.bitwise_count``
 where the running NumPy provides it (>= 2.0), a byte-table lookup fallback
@@ -55,22 +47,19 @@ otherwise.  All tile/block sizes come from :mod:`repro.core.tuning`
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core import costmodel, tuning
 from repro.exceptions import DistributionError
-from repro.obs.logs import get_logger
 from repro.obs.metrics import counter_add
 
-_logger = get_logger("repro.core.kernels")
-
 __all__ = [
+    "KernelPass",
     "popcount_u64",
     "has_fast_popcount",
-    "gpu_available",
     "choose_plan",
     "chs_histogram",
     "hammer_pass",
@@ -93,7 +82,7 @@ def has_fast_popcount() -> bool:
     return _HAVE_BITWISE_COUNT
 
 
-def _popcount_lut_u64(values: np.ndarray) -> np.ndarray:
+def _popcount_lut_u64(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-element popcount of a uint64 array via the byte-LUT fallback.
 
     Used as :func:`popcount_u64` on NumPy < 2 (no ``np.bitwise_count``);
@@ -102,14 +91,18 @@ def _popcount_lut_u64(values: np.ndarray) -> np.ndarray:
     """
     contiguous = np.ascontiguousarray(values, dtype=np.uint64)
     as_bytes = contiguous.view(np.uint8).reshape(contiguous.shape + (8,))
-    return _POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.uint8)
+    counts = _POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.uint8)
+    if out is None:
+        return counts
+    out[...] = counts
+    return out
 
 
 if _HAVE_BITWISE_COUNT:
 
-    def popcount_u64(values: np.ndarray) -> np.ndarray:
+    def popcount_u64(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-element popcount of a uint64 array (native ``np.bitwise_count``)."""
-        return np.bitwise_count(values)
+        return np.bitwise_count(values, out=out)
 
 else:  # pragma: no cover - exercised only on NumPy < 2
     popcount_u64 = _popcount_lut_u64
@@ -122,129 +115,42 @@ else:  # pragma: no cover - exercised only on NumPy < 2
 #: (2**20 float64 work vectors = 8 MiB each).
 DENSE_CHS_MAX_BITS = 20
 
-#: Largest support handled by the ``dense`` plan (the bit-identical legacy
-#: arithmetic).  Laptop-scale sweeps — including every golden fixture — stay
-#: below this; bigger supports dispatch to the tiled/streaming kernels.
+#: Largest support the dispatcher hands to the ``dense`` plan (the
+#: bit-identical historical arithmetic).  Laptop-scale sweeps — including
+#: every golden fixture — stay below this; bigger supports run ``levels``.
 DENSE_SUPPORT_MAX = 1024
 
 
-def _tile_distances(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
-    """Pairwise distances between two row blocks, in the narrowest dtype.
+def _tile_buffers(entries: int, num_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat scratch for :func:`_tile_distances`: ``entries`` XOR and distance slots.
 
-    Single-word registers (width <= 64) stay in uint8 straight out of the
-    popcount; wider registers accumulate per-word counts in uint16.  Both are
-    valid fancy indices into the weight vector, so no int64 widening ever
-    happens inside a tile.
+    Distances stay uint8 for single-word registers (width <= 64) and uint16
+    wider; both are valid fancy indices into the weight vector, so no int64
+    widening ever happens inside a tile.
     """
-    num_words = words_a.shape[1]
-    first = popcount_u64(np.bitwise_xor.outer(words_a[:, 0], words_b[:, 0]))
-    if num_words == 1:
-        return first
-    distances = first.astype(np.uint16)
-    for word_index in range(1, num_words):
-        xor = np.bitwise_xor.outer(words_a[:, word_index], words_b[:, word_index])
+    distance_dtype = np.uint8 if num_words == 1 else np.uint16
+    return np.empty(entries, dtype=np.uint64), np.empty(entries, dtype=distance_dtype)
+
+
+def _tile_distances(
+    words_a: np.ndarray, words_b: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Pairwise distances between two row blocks, as a view into ``buffers``.
+
+    The buffers come from :func:`_tile_buffers` and are reused tile after
+    tile, which spares every tile a fresh allocation and its page faults.
+    """
+    xor_buffer, distance_buffer = buffers
+    shape = (words_a.shape[0], words_b.shape[0])
+    size = shape[0] * shape[1]
+    xor = xor_buffer[:size].reshape(shape)
+    distances = distance_buffer[:size].reshape(shape)
+    np.bitwise_xor(words_a[:, :1], words_b[:, 0], out=xor)
+    popcount_u64(xor, out=distances)
+    for word_index in range(1, words_a.shape[1]):
+        np.bitwise_xor(words_a[:, word_index : word_index + 1], words_b[:, word_index], out=xor)
         distances += popcount_u64(xor)
     return distances
-
-
-# ---------------------------------------------------------------------------
-# Optional GPU distance tier (CuPy)
-# ---------------------------------------------------------------------------
-#: Lazy probe state: ``probed`` flips on first use; ``cupy`` holds the module
-#: (with compiled kernels attached) or ``None`` when no usable device exists.
-_GPU_STATE: dict = {"probed": False, "cupy": None, "kernels": None, "warned": False}
-
-
-def _gpu_runtime():
-    """Probe CuPy + a CUDA device once; compile the popcount kernels on success.
-
-    Any failure — CuPy not installed, no driver, no device — marks the tier
-    unavailable for the process.  Nothing here is a hard dependency.
-    """
-    if not _GPU_STATE["probed"]:
-        _GPU_STATE["probed"] = True
-        try:
-            import cupy
-
-            if cupy.cuda.runtime.getDeviceCount() < 1:  # pragma: no cover - needs GPU
-                raise RuntimeError("no CUDA device")
-            # One fused XOR+popcount kernel per output dtype.  __popcll of a
-            # uint64 is an exact integer <= 64, so uint8 never overflows for
-            # a single word and per-word uint16 accumulation matches the CPU
-            # tile arithmetic bit for bit.
-            narrow = cupy.ElementwiseKernel(
-                "uint64 a, uint64 b",
-                "uint8 d",
-                "d = (unsigned char)__popcll(a ^ b)",
-                "repro_xor_popcount_u8",
-            )
-            wide = cupy.ElementwiseKernel(
-                "uint64 a, uint64 b, uint16 acc",
-                "uint16 d",
-                "d = acc + (unsigned short)__popcll(a ^ b)",
-                "repro_xor_popcount_accum_u16",
-            )
-            _GPU_STATE["cupy"] = cupy
-            _GPU_STATE["kernels"] = (narrow, wide)
-        except Exception:
-            _GPU_STATE["cupy"] = None
-            _GPU_STATE["kernels"] = None
-    return _GPU_STATE["cupy"]
-
-
-def gpu_available() -> bool:
-    """True when CuPy and at least one CUDA device are usable in this process."""
-    return _gpu_runtime() is not None
-
-
-def _tile_distances_gpu(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
-    """GPU twin of :func:`_tile_distances`: same dtypes, same exact integers.
-
-    The device computes only the XOR + popcount distance matrix; the result
-    returns to the host immediately and every float accumulation stays on
-    the CPU in the tiled plan's order — which is what keeps the ``gpu`` plan
-    bit-identical to ``tiled``.
-    """
-    cupy = _gpu_runtime()
-    narrow, wide = _GPU_STATE["kernels"]
-    num_words = words_a.shape[1]
-    device_a = cupy.asarray(np.ascontiguousarray(words_a))
-    device_b = cupy.asarray(np.ascontiguousarray(words_b))
-    first = narrow(device_a[:, 0][:, None], device_b[:, 0][None, :])
-    if num_words == 1:
-        return cupy.asnumpy(first)
-    distances = first.astype(cupy.uint16)
-    for word_index in range(1, num_words):
-        distances = wide(
-            device_a[:, word_index][:, None],
-            device_b[:, word_index][None, :],
-            distances,
-        )
-    return cupy.asnumpy(distances)
-
-
-def _gpu_plan_or_fallback() -> str:
-    """Resolve a requested ``gpu`` plan: keep it, or warn once and run ``tiled``."""
-    if gpu_available():
-        return "gpu"
-    if not _GPU_STATE["warned"]:
-        _GPU_STATE["warned"] = True
-        # Structured record (reaches headless-run artifacts via repro.obs)
-        # plus the historical RuntimeWarning for interactive stderr.
-        _logger.warn_once(
-            "gpu-fallback",
-            "kernel plan 'gpu' requested but CuPy/CUDA is unavailable; "
-            "falling back to the bit-identical 'tiled' plan",
-            requested="gpu",
-            plan="tiled",
-        )
-        warnings.warn(
-            "kernel plan 'gpu' requested but CuPy/CUDA is unavailable; "
-            "falling back to the bit-identical 'tiled' plan",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return "tiled"
 
 
 def walsh_hadamard_inplace(vector: np.ndarray) -> np.ndarray:
@@ -301,8 +207,8 @@ def _blocked_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
     """Historical ordered-pair blocked CHS (bit-identical to PR 1-4).
 
     ``packed.block_distances`` is the single home of the int64 ordered-pair
-    arithmetic the bit-stable plans depend on — it is deliberately not
-    duplicated here.
+    arithmetic the bit-stable ``dense`` plan depends on — it is deliberately
+    not duplicated here.
     """
     num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
@@ -321,116 +227,40 @@ def _blocked_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric triangular sweeps (the tiled / streaming fast paths)
+# Large-support sweeps (the levels plan)
 # ---------------------------------------------------------------------------
-def _symmetric_scores(
-    packed,
-    probabilities: np.ndarray,
-    weights: np.ndarray,
-    cutoff: int,
-    use_filter: bool,
-    distances_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = _tile_distances,
-) -> np.ndarray:
-    """Neighbourhood scores with known per-distance weights, one triangular pass.
+def _symmetric_chs(packed, pair_weights: np.ndarray, limit: int) -> tuple[np.ndarray, int]:
+    """CHS histogram from one triangular traversal; returns ``(chs, pairs)``.
 
-    The cutoff mask (``distance < cutoff``) is folded into the weight gather
-    by zeroing a local copy of the weight vector at and beyond the cutoff —
-    exactly the entries the historical pass masked out pairwise.  Each
-    unordered pair's distance and gathered weight are computed once and serve
-    both score directions.
+    ``chs[d] = Σ_{x,y: d(x,y)=d, d<=limit} pair_weights[y]`` over ordered
+    pairs, self pairs included (Algorithm-1 semantics).  Each unordered
+    pair is popcounted once and its distance serves both directions;
+    ``pairs`` counts the pairs popcounted.
     """
     words = packed.words
     num_outcomes = packed.num_outcomes
-    weights = weights.astype(float, copy=True)
-    if cutoff < weights.size:
-        weights[cutoff:] = 0.0
-    scores = np.zeros(num_outcomes, dtype=float)
-    tile_rows, tile_cols = tuning.tile_shape(num_outcomes)
-    for i0 in range(0, num_outcomes, tile_rows):
-        i1 = min(i0 + tile_rows, num_outcomes)
-        p_i = probabilities[i0:i1]
-        # Diagonal square: every ordered pair inside [i0, i1) in one shot.
-        gathered = weights.take(distances_fn(words[i0:i1], words[i0:i1]))
-        if use_filter:
-            np.multiply(gathered, p_i[:, None] > p_i[None, :], out=gathered)
-        else:
-            np.fill_diagonal(gathered, 0.0)
-        scores[i0:i1] += gathered @ p_i
-        # Strictly-right tiles: one distance/gather per unordered pair,
-        # accumulated into both directions.
-        for j0 in range(i1, num_outcomes, tile_cols):
-            j1 = min(j0 + tile_cols, num_outcomes)
-            p_j = probabilities[j0:j1]
-            gathered = weights.take(distances_fn(words[i0:i1], words[j0:j1]))
-            if use_filter:
-                scores[i0:i1] += (gathered * (p_i[:, None] > p_j[None, :])) @ p_j
-                scores[j0:j1] += p_i @ (gathered * (p_i[:, None] < p_j[None, :]))
-            else:
-                scores[i0:i1] += gathered @ p_j
-                scores[j0:j1] += p_i @ gathered
-    return scores
-
-
-def _bincount_rows(
-    flat_bins: np.ndarray, flat_weights: np.ndarray, num_rows: int, num_bins: int
-) -> np.ndarray:
-    """Weighted per-row histogram via one flat ``bincount``."""
-    return np.bincount(
-        flat_bins.ravel(), weights=flat_weights.ravel(), minlength=num_rows * num_bins
-    ).reshape(num_rows, num_bins)
-
-
-def _symmetric_chs_mass(
-    packed,
-    pair_weights: np.ndarray,
-    limit: int,
-    probabilities: np.ndarray | None = None,
-    use_filter: bool = True,
-    distances_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = _tile_distances,
-):
-    """Fused triangular traversal: CHS histogram + optional per-row mass matrix.
-
-    Returns ``(chs, mass)`` where ``chs[d] = Σ_{x,y: d(x,y)=d, d<=limit}
-    pair_weights[y]`` (ordered pairs, self pairs included — Algorithm-1
-    semantics) and, when ``probabilities`` is given, ``mass[x, d]`` is the
-    filtered neighbourhood mass ``Σ { P(y) : d(x,y)=d, P(y) < P(x) }``
-    (``use_filter=True``) or the unfiltered off-diagonal mass otherwise.
-    Each unordered pair is popcounted exactly once.
-    """
-    words = packed.words
-    num_outcomes = packed.num_outcomes
-    num_bits = packed.num_bits
     num_bins = limit + 2  # [0, limit] real bins + one overflow sentinel
     chs = np.zeros(num_bins, dtype=float)
-    want_mass = probabilities is not None
-    mass = np.zeros((num_outcomes, num_bins), dtype=float) if want_mass else None
+    pairs = 0
     tile_rows, tile_cols = tuning.tile_shape(num_outcomes)
+    buffers = _tile_buffers(tile_rows * tile_cols, words.shape[1])
     sentinel = np.int64(limit + 1)
     for i0 in range(0, num_outcomes, tile_rows):
         i1 = min(i0 + tile_rows, num_outcomes)
-        rows = i1 - i0
         w_i = pair_weights[i0:i1]
         # Diagonal square (covers both ordered directions within the block).
-        bins = np.minimum(distances_fn(words[i0:i1], words[i0:i1]), sentinel)
+        bins = np.minimum(_tile_distances(words[i0:i1], words[i0:i1], buffers), sentinel)
+        pairs += bins.size
         chs += np.bincount(
             bins.ravel(),
             weights=np.broadcast_to(w_i[None, :], bins.shape).ravel(),
             minlength=num_bins,
         )[:num_bins]
-        if want_mass:
-            p_i = probabilities[i0:i1]
-            if use_filter:
-                tile_mass = np.where(p_i[:, None] > p_i[None, :], p_i[None, :], 0.0)
-            else:
-                tile_mass = np.broadcast_to(p_i[None, :], bins.shape).copy()
-                np.fill_diagonal(tile_mass, 0.0)
-            flat = bins + (num_bins * np.arange(rows, dtype=np.int64))[:, None]
-            mass[i0:i1] += _bincount_rows(flat, tile_mass, rows, num_bins)
         for j0 in range(i1, num_outcomes, tile_cols):
             j1 = min(j0 + tile_cols, num_outcomes)
-            cols = j1 - j0
             w_j = pair_weights[j0:j1]
-            bins = np.minimum(distances_fn(words[i0:i1], words[j0:j1]), sentinel)
+            bins = np.minimum(_tile_distances(words[i0:i1], words[j0:j1], buffers), sentinel)
+            pairs += bins.size
             flat_bins = bins.ravel()
             # CHS takes both ordered directions from the one distance tile.
             chs += np.bincount(
@@ -443,87 +273,127 @@ def _symmetric_chs_mass(
                 weights=np.broadcast_to(w_i[:, None], bins.shape).ravel(),
                 minlength=num_bins,
             )[:num_bins]
-            if want_mass:
-                p_i = probabilities[i0:i1]
-                p_j = probabilities[j0:j1]
-                if use_filter:
-                    mass_ij = np.where(p_i[:, None] > p_j[None, :], p_j[None, :], 0.0)
-                    mass_ji = np.where(p_i[:, None] < p_j[None, :], p_i[:, None], 0.0)
-                else:
-                    mass_ij = np.broadcast_to(p_j[None, :], bins.shape)
-                    mass_ji = np.broadcast_to(p_i[:, None], bins.shape)
-                flat = bins + (num_bins * np.arange(rows, dtype=np.int64))[:, None]
-                mass[i0:i1] += _bincount_rows(flat, mass_ij, rows, num_bins)
-                flat = bins + (num_bins * np.arange(cols, dtype=np.int64))[None, :]
-                mass[j0:j1] += _bincount_rows(flat, mass_ji, cols, num_bins)
-    chs_full = np.zeros(num_bits + 1, dtype=float)
-    stop = min(limit, num_bits) + 1
+    chs_full = np.zeros(packed.num_bits + 1, dtype=float)
+    stop = min(limit, packed.num_bits) + 1
     chs_full[:stop] = chs[:stop]
-    return chs_full, mass
+    return chs_full, pairs
+
+
+def _level_scores(
+    packed,
+    probabilities: np.ndarray,
+    weights: np.ndarray,
+    cutoff: int,
+    use_filter: bool,
+) -> tuple[np.ndarray, int, int]:
+    """Neighbourhood scores of the ``levels`` plan; returns ``(scores, rows, pairs)``.
+
+    ``rows`` is the number of rows scored (with the filter: the outcomes
+    above the lowest count level) and ``pairs`` the pairs popcounted.
+
+    With the filter, outcomes are stably sorted by probability and
+    ``lower[i]`` — the number of strictly-lower outcomes of sorted row
+    ``i`` — is where its level starts.  A row tile ``[i0, i1)`` needs only
+    columns ``[0, lower[i1 - 1])``; columns before ``lower[i0]`` are
+    strictly lower than every row of the tile, so the ``p_i > p_j`` mask is
+    applied to the strip ``[lower[i0], lower[i1 - 1])`` alone.  Without the
+    filter ``lower`` is ``N`` everywhere: every column, an empty strip, and
+    ``W[0] = 0`` excludes the self pair.
+
+    The cutoff (``distance < cutoff``) is folded into the gather by zeroing
+    a local copy of ``W`` at and beyond it.  ``tuning.tile_entries()`` is a
+    budget of cache bytes, and every live buffer of a tile counts against
+    it — XOR words, distances and gathered weights, 17-18 bytes a pair — so
+    one tile's whole working set stays cache-resident.
+    """
+    num_outcomes = packed.num_outcomes
+    weights = weights.astype(float, copy=True)
+    weights[cutoff:] = 0.0
+    if not use_filter:
+        weights[0] = 0.0
+    if not weights.any():
+        return np.zeros(num_outcomes, dtype=float), 0, 0
+
+    if use_filter:
+        order = np.argsort(probabilities, kind="stable")
+        words = packed.words[order]
+        sorted_p = probabilities[order]
+        lower = np.searchsorted(sorted_p, sorted_p, side="left")
+        first = int(np.searchsorted(lower, 0, side="right"))
+    else:
+        order = None
+        words = packed.words
+        sorted_p = probabilities
+        lower = np.full(num_outcomes, num_outcomes)
+        first = 0
+
+    distance_bytes = 1 if words.shape[1] == 1 else 2
+    budget = max(1, tuning.tile_entries() // (8 + distance_bytes + 8))
+    tile_rows = max(64, budget // max(1, num_outcomes))
+    tile_cols = max(1, budget // tile_rows)
+    buffers = _tile_buffers(tile_rows * tile_cols, words.shape[1])
+    gather_buffer = np.empty(tile_rows * tile_cols, dtype=float)
+    sorted_scores = np.zeros(num_outcomes, dtype=float)
+    pairs = 0
+    for i0 in range(first, num_outcomes, tile_rows):
+        i1 = min(i0 + tile_rows, num_outcomes)
+        strip, stop = int(lower[i0]), int(lower[i1 - 1])
+        rows = words[i0:i1]
+        p_i = sorted_p[i0:i1, None]
+        for j0 in range(0, stop, tile_cols):
+            j1 = min(j0 + tile_cols, stop)
+            distances = _tile_distances(rows, words[j0:j1], buffers)
+            gathered = gather_buffer[: distances.size].reshape(distances.shape)
+            # Distances never exceed the register width, the last index of
+            # ``weights``, so "wrap" never wraps; unlike the default "raise"
+            # it writes into ``out`` without an intermediate buffer.
+            weights.take(distances, out=gathered, mode="wrap")
+            if j1 > strip:
+                masked = gathered[:, max(strip, j0) - j0 :]
+                masked *= p_i > sorted_p[max(strip, j0) : j1]
+            sorted_scores[i0:i1] += gathered @ sorted_p[j0:j1]
+            pairs += distances.size
+    if order is None:
+        return sorted_scores, num_outcomes, pairs
+    scores = np.empty(num_outcomes, dtype=float)
+    scores[order] = sorted_scores
+    return scores, num_outcomes - first, pairs
 
 
 # ---------------------------------------------------------------------------
 # Plan dispatch
 # ---------------------------------------------------------------------------
-#: Word count beyond which the fused single-traversal (streaming) plan beats
-#: the two-sweep tiled plan: one traversal halves the per-pair XOR/popcount
-#: work, which only dominates the tile accumulations once a register spans
-#: this many uint64 words (measured crossover ~10 words / ~640 bits).
-STREAMING_MIN_WORDS = 10
-
-
 def choose_plan(num_outcomes: int, num_bits: int) -> str:
-    """Pick the cheapest kernel plan for a ``(support size, width)`` shape.
+    """Kernel plan for a ``(support size, width)`` shape.
 
-    * ``dense`` — supports up to :data:`DENSE_SUPPORT_MAX`: the full pair
-      matrix fits in one block and the historical arithmetic is both fastest
-      and bit-stable (golden fixtures live here).
-    * ``tiled`` — large supports at register widths up to
-      :data:`STREAMING_MIN_WORDS` words: CHS first (dense Walsh–Hadamard
-      where the hypercube is cheap, one symmetric sweep otherwise), then a
-      weight-gather score sweep over the upper triangle.
-    * ``streaming`` — large supports on very wide registers, where popcounts
-      dominate: one fused triangular traversal for CHS + filtered mass.
-    * ``gpu`` — large supports when CuPy and a CUDA device are present: the
-      tiled arithmetic with device-computed distance tiles (bit-identical
-      to ``tiled``).
-
-    Precedence: ``REPRO_HAMMER_KERNEL`` (or the programmatic override)
-    wins outright; otherwise a tuned :class:`~repro.core.costmodel.
-    MachineProfile` ranks the large-support plans by predicted seconds
-    (``gpu`` is only honoured when a device is actually usable — profiles
-    travel between machines); the fixed word-count crossover above — with
-    ``gpu`` preferred outright when a device is present — is the untuned
-    fallback.  The dense boundary is **not** tunable: supports at or below
-    :data:`DENSE_SUPPORT_MAX` always run the bit-identical historical
-    arithmetic, profile or not, so golden fixtures and published row
-    tables never drift under tuning.
+    ``REPRO_HAMMER_KERNEL`` (or the programmatic override) wins outright;
+    otherwise supports up to :data:`DENSE_SUPPORT_MAX` run ``dense`` — the
+    bit-identical historical arithmetic the golden fixtures live on — and
+    larger ones run ``levels``.  The width does not enter the choice: the
+    one large-support plan serves every register width.
     """
     override = tuning.kernel_override()
     if override is not None:
-        costmodel.record_decision("kernel", override, "override")
-        counter_add(f"kernel.plan.{override}")
-        return override
-    if num_outcomes <= DENSE_SUPPORT_MAX:
-        costmodel.record_decision("kernel", "dense", "heuristic")
-        counter_add("kernel.plan.dense")
-        return "dense"
-    profile = costmodel.active_profile()
-    if profile is not None:
-        plan = profile.kernel_plan(num_outcomes, num_bits)
-        if plan == "gpu" and not gpu_available():
-            plan = None
-        if plan is not None:
-            costmodel.record_decision("kernel", plan, "profile")
-            counter_add(f"kernel.plan.{plan}")
-            return plan
-    if gpu_available():
-        plan = "gpu"
+        plan, source = override, "override"
     else:
-        plan = "streaming" if (num_bits + 63) // 64 >= STREAMING_MIN_WORDS else "tiled"
-    costmodel.record_decision("kernel", plan, "heuristic")
+        plan = "dense" if num_outcomes <= DENSE_SUPPORT_MAX else "levels"
+        source = "heuristic"
+    costmodel.record_decision("kernel", plan, source)
     counter_add(f"kernel.plan.{plan}")
     return plan
+
+
+def _check_plan(plan: str) -> None:
+    if plan not in tuning.KERNEL_PLANS:
+        raise DistributionError(
+            f"unknown kernel plan {plan!r}; expected one of {tuning.KERNEL_PLANS}"
+        )
+
+
+def _dense_chs_eligible(num_outcomes: int, num_bits: int) -> bool:
+    """The dense-WHT CHS rule, unchanged since it was introduced."""
+    dense_cost = _dense_chs_cost(num_bits)
+    return dense_cost is not None and dense_cost < num_outcomes * num_outcomes
 
 
 def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = None) -> np.ndarray:
@@ -531,71 +401,69 @@ def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = No
 
     The step-1 kernel of HAMMER and the body of ``average_chs``.  Always
     returns a vector of length ``num_bits + 1`` with zeros beyond ``limit``.
-    Plans: the dense Walsh–Hadamard transform wherever it beats the pairwise
-    sweep (unchanged, bit-identical arithmetic), the historical blocked
-    ordered sweep at small supports, and the symmetric triangular sweep —
-    half the popcounts — at large ones.
+    The dense Walsh–Hadamard transform runs wherever it beats the pairwise
+    sweep; otherwise ``dense`` uses the historical blocked ordered sweep and
+    ``levels`` the symmetric sweep — half the popcounts.  Decisions made
+    here are not recorded: only HAMMER passes count as kernel dispatches.
     """
     num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
     limit = min(limit, num_bits)
-    if plan is not None and plan not in tuning.KERNEL_PLANS:
-        raise DistributionError(
-            f"unknown kernel plan {plan!r}; expected one of {tuning.KERNEL_PLANS}"
-        )
+    if plan is not None:
+        _check_plan(plan)
     if limit < 0:
         return np.zeros(num_bits + 1, dtype=float)
     if plan is None:
         plan = tuning.kernel_override()
-    if plan == "gpu":
-        plan = _gpu_plan_or_fallback()
-    distances_fn = _tile_distances_gpu if plan == "gpu" else _tile_distances
-    # The dense-WHT eligibility rule predates the symmetric kernels and is
-    # kept verbatim: whenever it fires the result is bit-identical to PR 1-4.
-    dense_cost = _dense_chs_cost(num_bits)
-    dense_eligible = dense_cost is not None and dense_cost < num_outcomes * num_outcomes
     if plan is None:
-        if dense_eligible:
-            return _dense_chs(packed, weights, limit)
-        if num_outcomes <= DENSE_SUPPORT_MAX:
-            return _blocked_chs(packed, weights, limit)
-    elif plan in ("legacy", "dense"):
-        if dense_eligible:
-            return _dense_chs(packed, weights, limit)
-        return _blocked_chs(packed, weights, limit)
-    elif plan in ("tiled", "gpu") and dense_eligible:
+        plan = "dense" if num_outcomes <= DENSE_SUPPORT_MAX else "levels"
+    if _dense_chs_eligible(num_outcomes, num_bits):
         return _dense_chs(packed, weights, limit)
-    chs, _ = _symmetric_chs_mass(packed, weights, limit, distances_fn=distances_fn)
+    if plan == "dense":
+        return _blocked_chs(packed, weights, limit)
+    chs, _ = _symmetric_chs(packed, weights, limit)
     return chs
 
 
-def _legacy_pass(
+class KernelPass(NamedTuple):
+    """Output of :func:`hammer_pass`: steps 1-3 plus the work they did."""
+
+    chs: np.ndarray
+    weights: np.ndarray
+    scores: np.ndarray
+    plan: str
+    #: Rows the score sweep evaluated (``levels`` with the filter: the
+    #: outcomes above the lowest count level).
+    rows: int
+    #: Pairs popcounted by the call, CHS sweep included.
+    pairs: int
+
+
+def _dense_pass(
     packed,
     probabilities: np.ndarray,
     cutoff: int,
     weight_fn: Callable[[np.ndarray], np.ndarray],
     use_filter: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The PR 4 two-pass HAMMER arithmetic, preserved bit-for-bit.
+) -> KernelPass:
+    """The historical two-pass HAMMER arithmetic, preserved bit-for-bit.
 
     Pass 1 computes the CHS spectrum (dense WHT or blocked ordered pairs);
-    pass 2 re-popcounts every ordered pair to accumulate the scores.  The
-    ``dense`` plan routes here so small supports — every golden fixture —
-    reproduce exactly; ``REPRO_HAMMER_KERNEL=legacy`` forces it at any size
-    as the benchmark baseline.
+    pass 2 re-popcounts every ordered pair to accumulate the scores.
     """
     num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
     block_size = tuning.pairwise_block_size(num_outcomes)
 
     limit = min(cutoff, num_bits + 1) - 1
-    dense_cost = _dense_chs_cost(num_bits)
+    pairs = num_outcomes * num_outcomes
     if limit < 0:
         chs = np.zeros(num_bits + 1, dtype=float)
-    elif dense_cost is not None and dense_cost < num_outcomes * num_outcomes:
+    elif _dense_chs_eligible(num_outcomes, num_bits):
         chs = _dense_chs(packed, probabilities, min(limit, num_bits))
     else:
         chs = _blocked_chs(packed, probabilities, min(limit, num_bits))
+        pairs *= 2
 
     weights = weight_fn(chs)
 
@@ -615,7 +483,7 @@ def _legacy_pass(
             within_cutoff & allowed, weight_of_pair * probabilities[None, :], 0.0
         )
         scores[start:stop] = contribution.sum(axis=1)
-    return chs, weights, scores
+    return KernelPass(chs, weights, scores, "dense", num_outcomes, pairs)
 
 
 def hammer_pass(
@@ -625,66 +493,28 @@ def hammer_pass(
     weight_fn: Callable[[np.ndarray], np.ndarray],
     use_filter: bool,
     plan: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+) -> KernelPass:
     """Steps 1-3 of HAMMER (CHS, weights, neighbourhood scores) in one call.
 
     ``weight_fn`` maps the raw CHS histogram to the padded per-distance
     weight vector (length ``num_bits + 1``, zero at and beyond ``cutoff``).
-    Returns ``(chs, weights, scores, plan_used)``.
     """
     if plan is None:
         plan = choose_plan(packed.num_outcomes, packed.num_bits)
-    elif plan not in tuning.KERNEL_PLANS:
-        raise DistributionError(
-            f"unknown kernel plan {plan!r}; expected one of {tuning.KERNEL_PLANS}"
-        )
+    else:
+        _check_plan(plan)
+    if plan == "dense":
+        return _dense_pass(packed, probabilities, cutoff, weight_fn, use_filter)
+
     num_bits = packed.num_bits
     limit = min(cutoff, num_bits + 1) - 1
-
-    if plan in ("dense", "legacy"):
-        chs, weights, scores = _legacy_pass(
-            packed, probabilities, cutoff, weight_fn, use_filter
-        )
-        return chs, weights, scores, plan
-
-    if plan == "gpu":
-        plan = _gpu_plan_or_fallback()
-
-    if plan in ("tiled", "gpu"):
-        # CHS first (dense WHT where eligible, else one symmetric sweep);
-        # scores in a second symmetric sweep with the weights in hand.  The
-        # gpu plan is this exact arithmetic with device-computed distance
-        # tiles — the returned plan name records where distances ran.
-        distances_fn = _tile_distances_gpu if plan == "gpu" else _tile_distances
-        dense_cost = _dense_chs_cost(num_bits)
-        if limit < 0:
-            chs = np.zeros(num_bits + 1, dtype=float)
-        elif dense_cost is not None and dense_cost < packed.num_outcomes**2:
-            chs = _dense_chs(packed, probabilities, min(limit, num_bits))
-        else:
-            chs, _ = _symmetric_chs_mass(
-                packed, probabilities, min(limit, num_bits), distances_fn=distances_fn
-            )
-        weights = weight_fn(chs)
-        scores = _symmetric_scores(
-            packed, probabilities, weights, cutoff, use_filter, distances_fn=distances_fn
-        )
-        return chs, weights, scores, plan
-
-    # streaming: one fused traversal for CHS + filtered mass, then M @ W.
+    chs_pairs = 0
     if limit < 0:
         chs = np.zeros(num_bits + 1, dtype=float)
-        weights = weight_fn(chs)
-        scores = np.zeros(packed.num_outcomes, dtype=float)
-        return chs, weights, scores, plan
-    chs, mass = _symmetric_chs_mass(
-        packed,
-        probabilities,
-        min(limit, num_bits),
-        probabilities=probabilities,
-        use_filter=use_filter,
-    )
+    elif _dense_chs_eligible(packed.num_outcomes, num_bits):
+        chs = _dense_chs(packed, probabilities, min(limit, num_bits))
+    else:
+        chs, chs_pairs = _symmetric_chs(packed, probabilities, min(limit, num_bits))
     weights = weight_fn(chs)
-    stop = min(limit, num_bits) + 1
-    scores = mass[:, :stop] @ weights[:stop]
-    return chs, weights, scores, plan
+    scores, rows, pairs = _level_scores(packed, probabilities, weights, cutoff, use_filter)
+    return KernelPass(chs, weights, scores, plan, rows, chs_pairs + pairs)

@@ -5,25 +5,22 @@ structure of a histogram support in bounded-memory pieces.  Two sizes govern
 that evaluation:
 
 * the **pairwise block budget** — how many pairwise entries (one entry = one
-  ``(x, y)`` distance) a legacy row-block may hold at once.  This was a
-  hard-coded constant before; it is now overridable via
-  ``REPRO_PAIRWISE_BLOCK_ENTRIES`` (the historical default of 4,000,000 is
-  kept so existing float accumulation orders are unchanged when the variable
-  is unset);
-* the **tile shape** of the symmetric (triangular) kernels — auto-tuned at
-  import from the detected last-level data cache so one tile's working set
-  (the uint64 XOR tile plus its popcount/weight/mask temporaries) stays
+  ``(x, y)`` distance) a ``dense``-plan row-block may hold at once.
+  Overridable via ``REPRO_PAIRWISE_BLOCK_ENTRIES``; the historical default
+  of 4,000,000 is kept so the ``dense`` plan's float accumulation order is
+  unchanged when the variable is unset;
+* the **tile size** of the ``levels`` plan's sweeps — auto-tuned at import
+  from the detected last-level data cache so one tile's working set stays
   cache-resident.  ``REPRO_TILE_ENTRIES`` overrides the tuned value.
 
 Tuning is *deterministic*: sizes derive from ``/sys`` cache topology (with a
 fixed fallback), never from timing runs, so repeated runs — and worker
 processes of the same sweep — always agree on accumulation order.
 
-``REPRO_HAMMER_KERNEL`` force-selects a kernel plan (``dense`` / ``tiled`` /
-``streaming`` / ``legacy``) for benchmarking and differential testing;
-:func:`kernel_override` reads it and :func:`set_kernel_override` sets it
-programmatically (benchmarks use this to time before/after pairs in one
-process).
+``REPRO_HAMMER_KERNEL`` force-selects a kernel plan (``dense`` / ``levels``)
+for benchmarking and differential testing; :func:`kernel_override` reads it
+and :func:`set_kernel_override` sets it programmatically (benchmarks use
+this to time before/after pairs in one process).
 """
 
 from __future__ import annotations
@@ -45,21 +42,17 @@ __all__ = [
     "tuning_report",
 ]
 
-#: Valid kernel plan names: the three shape-dispatched plans plus ``legacy``,
-#: which forces the pre-PR5 two-pass arithmetic at any support size (the
-#: benchmark baseline).  ``dense`` and ``legacy`` share the same arithmetic;
-#: ``dense`` is simply the dispatcher's name for it at small supports.
-#: ``gpu`` is the tiled arithmetic with CuPy-computed distance tiles —
-#: accepted everywhere plan names are validated, degrading to ``tiled``
-#: (with a warning) when no CUDA device is usable.
-KERNEL_PLANS = ("dense", "tiled", "streaming", "legacy", "gpu")
+#: Valid kernel plan names: ``dense`` (the bit-stable historical arithmetic,
+#: the dispatcher's choice up to 1024 outcomes and the reference baseline at
+#: any size) and ``levels`` (the filter-aware large-support plan).
+KERNEL_PLANS = ("dense", "levels")
 
 _ENV_KERNEL = "REPRO_HAMMER_KERNEL"
 _ENV_BLOCK_ENTRIES = "REPRO_PAIRWISE_BLOCK_ENTRIES"
 _ENV_TILE_ENTRIES = "REPRO_TILE_ENTRIES"
 
-#: Historical pairwise-entry budget (PR 1-4 hard-coded this); kept as the
-#: default so legacy-plan float accumulation orders are bit-stable.
+#: Historical pairwise-entry budget; kept as the default so the ``dense``
+#: plan's float accumulation order is bit-stable.
 _DEFAULT_BLOCK_ENTRIES = 4_000_000
 
 _MIN_BLOCK_ENTRIES = 1 << 16
@@ -166,7 +159,7 @@ def set_kernel_override(name: str | None) -> None:
 
 
 def pairwise_block_entries() -> int:
-    """Pairwise entries one legacy row-block may hold (env-overridable)."""
+    """Pairwise entries one ``dense``-plan row-block may hold (env-overridable)."""
     value = _parse_positive_int(_ENV_BLOCK_ENTRIES)
     if value is None:
         return _DEFAULT_BLOCK_ENTRIES

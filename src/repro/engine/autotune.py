@@ -4,8 +4,6 @@ This module measures, on the current machine, everything the autoscheduling
 dispatchers in :mod:`repro.core.costmodel` need to rank implementations by
 predicted seconds:
 
-* each **pairwise-Hamming kernel plan** across a (support size × register
-  width) grid — fitted as ``a·N²·w + b·N + c`` per plan;
 * the **bit-flip sampler** across a (shots × qubits) grid — fitted as
   ``a·shots·qubits + b·shots + c``;
 * the **shard layout**: chunked sampling of one large job at several chunk
@@ -16,7 +14,7 @@ predicted seconds:
   loses to dispatch latency;
 * the **ideal-simulation backends** on circuits both can run (Clifford BV)
   — statevector fitted against ``2^q·q``, stabilizer against ``q³ + q²``;
-* the best **symmetric tile size** (``tile_entries``) by direct search.
+* the best **pairwise tile size** (``tile_entries``) by direct search.
 
 All inputs are seeded, every measurement is a best-of-``repeats`` minimum
 (robust to scheduler noise), and the fitted profile serializes stably — the
@@ -24,10 +22,6 @@ same measurements always produce byte-identical JSON.  The suite is sized
 to finish in seconds (``quick=True``, the CI default) or tens of seconds
 (full grid); it runs *once* per machine, then every subsequent run loads
 the persisted profile.
-
-The companion validation pass re-predicts the fastest kernel plan at every
-grid point and records the agreement fraction — the honesty check that the
-fitted curves actually rank implementations the way the stopwatch did.
 """
 
 from __future__ import annotations
@@ -50,11 +44,6 @@ _QUICK_CHUNKS = (131_072, 262_144, 524_288)
 _FULL_CHUNKS = (65_536, 131_072, 262_144, 524_288, 1_048_576)
 _MAX_CHUNK_SHOTS = 2_097_152
 
-_KERNEL_TERMS = ("n2w", "n", "1")
-#: The gpu plan's curve adds transfer-shaped terms: per-tile host<->device
-#: copies scale with ``n*w`` (rows in, distance matrix back) and a per-call
-#: launch cost rides on ``w`` and the constant.
-_GPU_KERNEL_TERMS = ("n2w", "nw", "w", "1")
 _SAMPLER_TERMS = ("shots_qubits", "shots", "1")
 _STATEVECTOR_TERMS = ("pow2q_q", "1")
 _STABILIZER_TERMS = ("q3", "q2", "1")
@@ -67,8 +56,7 @@ class TuneConfig:
         self.quick = bool(quick)
         self.seed = int(seed)
         if quick:
-            self.kernel_supports = (2_048, 4_096)
-            self.kernel_widths = (16, 63, 320)
+            self.tile_support = 4_096
             self.sampler_shots = (4_096, 32_768)
             self.sampler_qubits = (8, 12)
             self.shard_chunks = _QUICK_CHUNKS
@@ -77,8 +65,7 @@ class TuneConfig:
             self.tile_candidates = (1 << 20, 1 << 21, 1 << 22)
             self.repeats = 2
         else:
-            self.kernel_supports = (2_048, 4_096, 8_192)
-            self.kernel_widths = (16, 63, 320, 704)
+            self.tile_support = 8_192
             self.sampler_shots = (4_096, 32_768, 131_072)
             self.sampler_qubits = (8, 12, 14)
             self.shard_chunks = _FULL_CHUNKS
@@ -134,59 +121,6 @@ def _bv_circuit(qubits: int, seed: int):
 # ---------------------------------------------------------------------------
 # Benches
 # ---------------------------------------------------------------------------
-def _bench_kernels(config: TuneConfig, rows: list[dict[str, Any]]):
-    """Time every tunable kernel plan across the (support × width) grid."""
-    from repro.core.hammer import neighborhood_scores
-    from repro.core.kernels import gpu_available
-
-    # The gpu column only exists where a device is usable: benching it
-    # anywhere else would time the tiled fallback under a gpu label and
-    # poison the profile.  Skipped-not-failed, and the dispatcher re-checks
-    # availability before honouring a profile's gpu ranking anyway.
-    active_plans = tuple(
-        plan
-        for plan in costmodel.TUNABLE_KERNEL_PLANS
-        if plan != "gpu" or gpu_available()
-    )
-    measurements: dict[str, tuple[list[dict[str, float]], list[float]]] = {
-        plan: ([], []) for plan in active_plans
-    }
-    grid: list[dict[str, Any]] = []
-    for width in config.kernel_widths:
-        for support in config.kernel_supports:
-            distribution = _synthetic_support(width, support, seed=config.seed + width)
-            n = distribution.num_outcomes
-            w = (distribution.num_bits + 63) // 64
-            point: dict[str, Any] = {"support": n, "width": distribution.num_bits}
-            for plan in active_plans:
-                tuning.set_kernel_override(plan)
-                try:
-                    neighborhood_scores(distribution)  # warm-up
-                    seconds = _best_of(
-                        config.repeats, lambda: neighborhood_scores(distribution)
-                    )
-                finally:
-                    tuning.set_kernel_override(None)
-                feature_rows, targets = measurements[plan]
-                feature_rows.append({"n": n, "w": w})
-                targets.append(seconds)
-                point[plan] = seconds
-            point["measured_fastest"] = min(
-                active_plans, key=lambda plan: point[plan]
-            )
-            grid.append(point)
-            rows.append({"bench": "kernel", **point})
-    curves = {
-        plan: fit_cost_curve(
-            _GPU_KERNEL_TERMS if plan == "gpu" else _KERNEL_TERMS,
-            feature_rows,
-            targets,
-        )
-        for plan, (feature_rows, targets) in measurements.items()
-    }
-    return curves, grid
-
-
 def _bench_sampler(config: TuneConfig, rows: list[dict[str, Any]]) -> CostCurve:
     """Time unsharded bit-flip sampling across the (shots × qubits) grid."""
     from repro.backends import get_backend
@@ -397,10 +331,10 @@ def _bench_backends(
 
 
 def _bench_tile_entries(config: TuneConfig, rows: list[dict[str, Any]]) -> int:
-    """Direct search over tile sizes on one large symmetric-sweep shape.
+    """Direct search over tile sizes on one large-support HAMMER shape.
 
-    The tile size sets the float accumulation *order* inside the symmetric
-    sweeps, so two tile sizes generally disagree at the last ulp.  The tuned
+    The tile size sets the float accumulation *order* inside the ``levels``
+    plan's sweeps, so two tile sizes generally disagree at the last ulp.  The tuned
     profile must never change results, so the search only adopts a
     non-default candidate whose scores are bit-identical to the default's;
     otherwise it keeps the cache-derived default and records the measured
@@ -410,7 +344,7 @@ def _bench_tile_entries(config: TuneConfig, rows: list[dict[str, Any]]) -> int:
     from repro.core.hammer import neighborhood_scores
 
     distribution = _synthetic_support(
-        width=63, support=max(config.kernel_supports), seed=config.seed + 4
+        width=63, support=config.tile_support, seed=config.seed + 4
     )
     previous = os.environ.get("REPRO_TILE_ENTRIES")
     os.environ.pop("REPRO_TILE_ENTRIES", None)
@@ -444,30 +378,6 @@ def _bench_tile_entries(config: TuneConfig, rows: list[dict[str, Any]]) -> int:
     return best_entries
 
 
-def _validate_kernels(
-    profile: MachineProfile, grid: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Prediction-vs-stopwatch agreement of the fitted kernel curves."""
-    agreements = []
-    for point in grid:
-        predicted = profile.kernel_plan(point["support"], point["width"])
-        agreements.append(
-            {
-                "support": point["support"],
-                "width": point["width"],
-                "measured_fastest": point["measured_fastest"],
-                "predicted_fastest": predicted,
-                "agree": predicted == point["measured_fastest"],
-            }
-        )
-    agreement = (
-        sum(1 for row in agreements if row["agree"]) / len(agreements)
-        if agreements
-        else 0.0
-    )
-    return {"kernel_grid": agreements, "kernel_agreement": agreement}
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -477,7 +387,7 @@ def run_tune(quick: bool = True, seed: int = 0) -> tuple[MachineProfile, Experim
     Returns ``(profile, report)``: the profile ready for
     :func:`~repro.core.costmodel.save_profile`, and an
     :class:`~repro.experiments.runner.ExperimentReport` with one row per
-    measurement plus the validation summary.  Any active profile is
+    measurement and the fitted decisions.  Any active profile is
     suspended for the duration so the stopwatch sees the raw
     implementations, never profile-steered ones.
     """
@@ -487,7 +397,6 @@ def run_tune(quick: bool = True, seed: int = 0) -> tuple[MachineProfile, Experim
     rows: list[dict[str, Any]] = []
     wall_start = time.perf_counter()
     try:
-        kernels, kernel_grid = _bench_kernels(config, rows)
         sampler = _bench_sampler(config, rows)
         shard = _bench_shard(config, rows)
         engine = _bench_engine(config, rows)
@@ -504,19 +413,15 @@ def run_tune(quick: bool = True, seed: int = 0) -> tuple[MachineProfile, Experim
             "seed": config.seed,
         },
         tuning={"tile_entries": float(tile_entries)},
-        kernels=kernels,
         sampler=sampler,
         shard=shard,
         engine=engine,
         backends=backends,
     )
-    validation = _validate_kernels(profile, kernel_grid)
-    profile.validation = validation
     report = ExperimentReport(
         name="tune_machine_profile",
         rows=rows,
         summary={
-            "kernel_agreement": float(validation["kernel_agreement"]),
             "chunk_shots": shard["chunk_shots"],
             "min_shard_shots": shard["min_shots"],
             "parallel_min_seconds": engine["parallel_min_seconds"],

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from repro.circuits.qaoa import QaoaParameters, default_qaoa_parameters, qaoa_circuit
 from repro.core.distribution import Distribution
@@ -80,6 +79,8 @@ def optimize_qaoa(
     max_evaluations:
         Budget of objective evaluations (circuit executions).
     """
+    from scipy import optimize  # deferred: ~1 s of import most figures never use
+
     if max_evaluations <= 0:
         raise ExperimentError(f"max_evaluations must be positive, got {max_evaluations}")
     evaluator = CutCostEvaluator(problem)

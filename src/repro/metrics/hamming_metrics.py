@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.distribution import Distribution
 from repro.core.spectrum import _expected_distance_of_bins, spectrum_bins, uniform_model_ehd
@@ -115,6 +114,8 @@ def structure_ratio(distribution: Distribution, correct_outcomes: Sequence[str])
 
 def spearman_correlation(x_values: Sequence[float], y_values: Sequence[float]) -> float:
     """Spearman rank correlation coefficient (Figure 11 uses this statistic)."""
+    from scipy import stats  # deferred: ~1 s of import most figures never use
+
     if len(x_values) != len(y_values):
         raise DistributionError("x and y must have the same length")
     if len(x_values) < 3:

@@ -31,25 +31,18 @@ def _isolated_costmodel():
     costmodel.reset_decisions()
 
 
-def _kernel_curve(quadratic: float, linear: float = 1e-6) -> CostCurve:
-    return CostCurve(terms=("n2w", "n", "1"), coefficients=(quadratic, linear, 0.0))
+_STATEVECTOR = CostCurve(terms=("pow2q_q", "1"), coefficients=(1e-8, 1e-5))
+_STABILIZER = CostCurve(terms=("q3", "q2", "1"), coefficients=(1e-7, 0.0, 1e-4))
 
 
 def _profile(**overrides) -> MachineProfile:
     fields = dict(
-        kernels={
-            "tiled": _kernel_curve(1e-9),
-            "streaming": _kernel_curve(2e-9),
-        },
         sampler=CostCurve(
             terms=("shots_qubits", "shots", "1"), coefficients=(1e-8, 1e-7, 1e-4)
         ),
         shard={"chunk_shots": 2048.0, "min_shots": 2048.0, "per_chunk_overhead": 1e-4},
         engine={"per_job_overhead": 1e-4, "parallel_min_seconds": 0.05},
-        backends={
-            "statevector": CostCurve(terms=("pow2q_q", "1"), coefficients=(1e-8, 1e-5)),
-            "stabilizer": CostCurve(terms=("q3", "q2", "1"), coefficients=(1e-7, 0.0, 1e-4)),
-        },
+        backends={"statevector": _STATEVECTOR, "stabilizer": _STABILIZER},
         tuning={"tile_entries": float(1 << 22)},
     )
     fields.update(overrides)
@@ -103,12 +96,7 @@ class TestPersistence:
         profile = _profile()
         assert profile.to_json() == profile.to_json()
         # Insertion order must not leak into the artifact.
-        reordered = _profile(
-            kernels={
-                "streaming": _kernel_curve(2e-9),
-                "tiled": _kernel_curve(1e-9),
-            }
-        )
+        reordered = _profile(backends={"stabilizer": _STABILIZER, "statevector": _STATEVECTOR})
         assert reordered.to_json() == profile.to_json()
 
     def test_missing_file_is_silent_none(self, tmp_path):
@@ -157,15 +145,6 @@ class TestPersistence:
 
 
 class TestDecisions:
-    def test_kernel_plan_ranks_tunable_plans_only(self):
-        profile = _profile()
-        assert profile.kernel_plan(5_000, 16) == "tiled"
-        slower_tiled = _profile(
-            kernels={"tiled": _kernel_curve(9e-9), "streaming": _kernel_curve(2e-9)}
-        )
-        assert slower_tiled.kernel_plan(5_000, 16) == "streaming"
-        assert _profile(kernels={}).kernel_plan(5_000, 16) is None
-
     def test_shard_layout_thresholds(self):
         profile = _profile()
         assert profile.shard_layout(1_000) is None
@@ -191,11 +170,11 @@ class TestDecisions:
         assert partial.backend_choice(("stabilizer", "statevector"), 20, 40) is None
 
     def test_decision_counters(self):
-        costmodel.record_decision("kernel", "tiled", "profile")
-        costmodel.record_decision("kernel", "tiled", "profile")
+        costmodel.record_decision("kernel", "levels", "heuristic")
+        costmodel.record_decision("kernel", "levels", "heuristic")
         costmodel.record_decision("backend", "stabilizer", "heuristic")
         assert costmodel.decision_counts() == {
-            "kernel": {"tiled/profile": 2},
+            "kernel": {"levels/heuristic": 2},
             "backend": {"stabilizer/heuristic": 1},
         }
         costmodel.reset_decisions()
@@ -205,38 +184,29 @@ class TestDecisions:
 class TestChoosePlanPrecedence:
     def test_heuristic_without_profile(self):
         assert choose_plan(DENSE_SUPPORT_MAX, 16) == "dense"
-        assert choose_plan(5_000, 16) == "tiled"
-        assert choose_plan(5_000, 640) == "streaming"
+        assert choose_plan(5_000, 16) == "levels"
+        assert choose_plan(5_000, 640) == "levels"
         counts = costmodel.decision_counts()["kernel"]
         assert counts["dense/heuristic"] == 1
-        assert counts["tiled/heuristic"] == 1
-        assert counts["streaming/heuristic"] == 1
-
-    def test_profile_beats_heuristic(self):
-        costmodel.set_active_profile(
-            _profile(
-                kernels={"tiled": _kernel_curve(9e-9), "streaming": _kernel_curve(2e-9)}
-            )
-        )
-        assert choose_plan(5_000, 16) == "streaming"
-        assert costmodel.decision_counts()["kernel"] == {"streaming/profile": 1}
+        assert counts["levels/heuristic"] == 2
 
     def test_env_override_beats_profile(self, monkeypatch):
         costmodel.set_active_profile(_profile())
-        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "legacy")
-        assert choose_plan(5_000, 16) == "legacy"
-        assert costmodel.decision_counts()["kernel"] == {"legacy/override": 1}
+        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "dense")
+        assert choose_plan(5_000, 16) == "dense"
+        assert costmodel.decision_counts()["kernel"] == {"dense/override": 1}
 
     def test_dense_boundary_immune_to_profile(self):
         # Supports at or below DENSE_SUPPORT_MAX hold the golden fixtures;
-        # no profile may reroute them.
-        costmodel.set_active_profile(
-            _profile(
-                kernels={"tiled": _kernel_curve(9e-9), "streaming": _kernel_curve(1e-12)}
-            )
-        )
+        # a profile — even one with a tuned tile size — never reroutes them,
+        # and larger supports always run levels.
+        costmodel.set_active_profile(_profile(tuning={"tile_entries": float(1 << 23)}))
         assert choose_plan(DENSE_SUPPORT_MAX, 16) == "dense"
-        assert costmodel.decision_counts()["kernel"] == {"dense/heuristic": 1}
+        assert choose_plan(DENSE_SUPPORT_MAX + 1, 16) == "levels"
+        assert costmodel.decision_counts()["kernel"] == {
+            "dense/heuristic": 1,
+            "levels/heuristic": 1,
+        }
 
 
 class TestTileEntriesPrecedence:

@@ -219,3 +219,12 @@ class TestNeighborhoodScores:
         with_filter = neighborhood_scores(dist, HammerConfig(use_filter=True))
         without_filter = neighborhood_scores(dist, HammerConfig(use_filter=False))
         assert with_filter.scores["011"] <= without_filter.scores["011"]
+
+    def test_scores_dict_is_built_lazily_and_once(self):
+        dist = Distribution({"000": 0.4, "001": 0.3, "011": 0.2, "111": 0.1})
+        result = neighborhood_scores(dist)
+        assert "scores" not in result.__dict__
+        scores = result.scores
+        assert result.scores is scores
+        assert list(scores) == dist.outcomes()
+        assert list(scores.values()) == result.score_vector.tolist()

@@ -1,11 +1,12 @@
-"""Property suite for the shape-adaptive pairwise Hamming kernels (PR 5).
+"""Property suite for the pairwise Hamming kernels.
 
-Every kernel plan — the bit-stable ``dense``/``legacy`` arithmetic, the
-symmetric ``tiled`` sweep and the fused ``streaming`` traversal — must agree
-with ``hammer_reference`` (the paper's Algorithm 1, pure-Python loops) on
-arbitrary supports, including word-boundary widths (63/64/65) and degenerate
-single-outcome distributions.  The popcount dispatch, the shape dispatcher
-and the environment overrides of the tuning layer are covered here too.
+Both kernel plans — the bit-stable ``dense`` arithmetic and the
+filter-aware ``levels`` sweep — must agree with ``hammer_reference`` (the
+paper's Algorithm 1, pure-Python loops) on arbitrary supports, including
+word-boundary widths (63/64/65), count-level supports where ties dominate,
+and degenerate single-outcome distributions.  The popcount dispatch, the
+dispatcher and the environment overrides of the tuning layer are covered
+here too.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.core import Distribution, HammerConfig, hammer, hammer_reference
 from repro.core import tuning
+from repro.core.hammer import neighborhood_scores
 from repro.core.kernels import (
     DENSE_SUPPORT_MAX,
-    STREAMING_MIN_WORDS,
     _popcount_lut_u64,
     choose_plan,
     chs_histogram,
@@ -30,8 +31,9 @@ from repro.core.kernels import (
 from repro.core.spectrum import average_chs
 from repro.core.bitstring import pairwise_block_size
 from repro.exceptions import DistributionError
+from repro.obs import Observation
 
-ALL_PLANS = ("dense", "tiled", "streaming", "legacy")
+ALL_PLANS = ("dense", "levels")
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +70,40 @@ def kernel_distributions(draw):
     return Distribution(dict(zip(strings, weights)), num_bits=num_bits)
 
 
+def _count_distribution(num_bits, shots, seed, flip=0.15):
+    """A sampled histogram: ``shots`` noisy copies of one random outcome.
+
+    Each bit of each shot flips with probability ``flip``.  Probabilities
+    are counts over shots, so outcomes share a few count levels, ties
+    dominate and most outcomes of a wide register sit at count 1, as in
+    the histograms HAMMER post-processes.
+    """
+    rng = np.random.default_rng(seed)
+    center = rng.integers(0, 2, size=num_bits, dtype=np.uint8)
+    draws = (rng.random((shots, num_bits)) < flip).astype(np.uint8) ^ center
+    bits, counts = np.unique(draws, axis=0, return_counts=True)
+    strings = ["".join("1" if b else "0" for b in row) for row in bits]
+    return Distribution(dict(zip(strings, counts.tolist())), num_bits=num_bits)
+
+
+@st.composite
+def count_distributions(draw):
+    num_bits = draw(st.sampled_from([5, 16, 63, 64, 65]))
+    shots = draw(st.integers(min_value=1, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    flip = draw(st.sampled_from([0.02, 0.1, 0.3]))
+    return _count_distribution(num_bits, shots, seed, flip)
+
+
+def _assert_matches_reference(dist, config):
+    reference = hammer_reference(dist, config)
+    reconstructed = hammer(dist, config)
+    for outcome, probability in reference.probabilities().items():
+        assert reconstructed.probability(outcome) == pytest.approx(
+            probability, rel=1e-9, abs=1e-12
+        ), outcome
+
+
 class TestKernelEquivalence:
     @given(kernel_distributions(), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -86,10 +122,9 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_chs_plans_agree(self, dist):
         packed = dist.packed()
-        expected = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="legacy")
-        for plan in ("dense", "tiled", "streaming"):
-            got = chs_histogram(packed, packed.probabilities, dist.num_bits, plan=plan)
-            assert np.allclose(got, expected, atol=1e-9), plan
+        expected = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="dense")
+        got = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="levels")
+        assert np.allclose(got, expected, atol=1e-9)
 
     @pytest.mark.parametrize("plan", ALL_PLANS)
     def test_single_outcome_distribution(self, plan):
@@ -99,7 +134,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("width", [63, 64, 65])
     def test_word_boundary_widths_large_support(self, width):
-        """The symmetric kernels agree with legacy across the uint64 seam."""
+        """The levels plan agrees with forced dense across the uint64 seam."""
         rng = np.random.default_rng(width)
         center = rng.integers(0, 2, size=width, dtype=np.uint8)
         bits = np.unique(
@@ -108,15 +143,14 @@ class TestKernelEquivalence:
         strings = ["".join("1" if b else "0" for b in row) for row in bits]
         weights = rng.random(len(strings)) + 0.01
         dist = Distribution(dict(zip(strings, weights)), num_bits=width)
-        _force("legacy")
+        _force("dense")
         expected = hammer(dist)
-        for plan in ("tiled", "streaming"):
-            _force(plan)
-            got = hammer(dist)
-            for outcome in expected.probabilities():
-                assert got.probability(outcome) == pytest.approx(
-                    expected.probability(outcome), abs=1e-9
-                ), plan
+        _force("levels")
+        got = hammer(dist)
+        for outcome in expected.probabilities():
+            assert got.probability(outcome) == pytest.approx(
+                expected.probability(outcome), abs=1e-9
+            )
 
     def test_unknown_plan_rejected(self):
         dist = Distribution({"01": 1.0, "10": 1.0})
@@ -125,6 +159,107 @@ class TestKernelEquivalence:
             hammer_pass(packed, packed.probabilities, 1, lambda chs: chs, True, plan="nope")
         with pytest.raises(DistributionError):
             chs_histogram(packed, packed.probabilities, 1, plan="legcay")
+        assert tuning.KERNEL_PLANS == ("dense", "levels")
+        for retired in ("legacy", "tiled", "streaming", "gpu"):
+            with pytest.raises(DistributionError):
+                hammer_pass(packed, packed.probabilities, 1, lambda chs: chs, True, plan=retired)
+
+
+class TestLevelsPlan:
+    """The filter-aware sweep on count-level supports, where ties dominate."""
+
+    @given(count_distributions(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_levels_matches_reference_on_count_supports(self, dist, use_filter, include_self):
+        _force("levels")
+        config = HammerConfig(use_filter=use_filter, include_self_probability=include_self)
+        _assert_matches_reference(dist, config)
+
+    @pytest.mark.parametrize("width", [5, 16, 63, 64, 65])
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_degenerate_supports_match_reference(self, width, use_filter):
+        config = HammerConfig(use_filter=use_filter)
+        one_above = {format(k, f"0{width}b"): 1 for k in range(8)}
+        one_above["0" * (width - 1) + "1"] = 3
+        cases = {
+            "all-equal": {format(k, f"0{width}b"): 4 for k in range(1, 9)},
+            "one row above the lowest level": one_above,
+            "single outcome": {"1" * width: 7},
+        }
+        _force("levels")
+        for name, counts in cases.items():
+            dist = Distribution(counts, num_bits=width)
+            _assert_matches_reference(dist, config)
+            assert neighborhood_scores(dist, config).kernel == "levels", name
+
+    @pytest.mark.parametrize("plan", ALL_PLANS)
+    def test_equal_count_neighbours_give_zero_credit(self, plan):
+        """The filter is strict: ``P(y) < P(x)``, never ``<=``."""
+        _force(plan)
+        # 0000 and 0001 tie at distance 1; 0011 is one flip from 0001 only
+        # (the 4-bit cutoff keeps distances 0 and 1).
+        dist = Distribution({"0000": 5, "0001": 5, "0011": 1})
+        result = neighborhood_scores(dist, HammerConfig(include_self_probability=False))
+        assert result.scores["0000"] == 0.0
+        assert result.scores["0011"] == 0.0
+        assert result.scores["0001"] == pytest.approx(result.weights[1] * 1 / 11)
+        # Break the tie and 0000 earns credit from its now-lower neighbour.
+        broken = Distribution({"0000": 6, "0001": 5, "0011": 1})
+        assert neighborhood_scores(broken).scores["0000"] > 6 / 12
+
+    @pytest.mark.parametrize("width", [16, 64])
+    def test_count_levels_large_support(self, width):
+        """Above the dense boundary, levels matches forced dense on real-shaped counts."""
+        dist = _count_distribution(width, shots=8192 if width == 16 else 3000, seed=width, flip=0.2 if width == 16 else 0.05)
+        assert dist.num_outcomes > DENSE_SUPPORT_MAX
+        for use_filter in (True, False):
+            config = HammerConfig(use_filter=use_filter)
+            _force("dense")
+            expected = neighborhood_scores(dist, config)
+            _force("levels")
+            got = neighborhood_scores(dist, config)
+            assert got.kernel == "levels"
+            # Past the WHT's width limit the two plans sum the CHS spectrum
+            # in different orders; the scores inherit that last-ulp spread.
+            assert np.allclose(got.score_vector, expected.score_vector, rtol=1e-10, atol=0)
+
+    def test_work_accounting_skips_the_lowest_level(self):
+        # 12 bits: the CHS step is the dense WHT, so every pair counted here
+        # was popcounted by the score sweep.
+        dist = _count_distribution(12, shots=4096, seed=3, flip=0.2)
+        packed = dist.packed()
+        probabilities = packed.probabilities
+        above = int(np.count_nonzero(probabilities > probabilities.min()))
+        assert 0 < above < dist.num_outcomes
+        weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
+        filtered = hammer_pass(packed, probabilities, 8, weight_fn, True, plan="levels")
+        assert filtered.rows == above
+        assert 0 < filtered.pairs < above * dist.num_outcomes
+        unfiltered = hammer_pass(packed, probabilities, 8, weight_fn, False, plan="levels")
+        assert unfiltered.rows == dist.num_outcomes
+        assert unfiltered.pairs == dist.num_outcomes**2
+        flat = Distribution({format(k, "012b"): 2 for k in range(1200)}).packed()
+        none = hammer_pass(flat, flat.probabilities, 8, weight_fn, True, plan="levels")
+        assert (none.rows, none.pairs) == (0, 0)
+        assert not none.scores.any()
+
+    def test_span_and_counter_record_the_work(self):
+        dist = _count_distribution(16, shots=4096, seed=5, flip=0.2)
+        with Observation() as observation:
+            result = neighborhood_scores(dist)
+        assert result.kernel == "levels"
+        counters = observation.registry.snapshot()["counters"]
+        assert counters["kernel.plan.levels"] == 1
+        events = [
+            event
+            for event in observation.chrome_trace()["traceEvents"]
+            if event.get("ph") == "X" and event["name"] == "kernel.hammer"
+        ]
+        assert len(events) == 1
+        args = events[0]["args"]
+        assert args["plan"] == "levels"
+        assert args["rows"] < dist.num_outcomes
+        assert counters["kernel.hammer.pairs"] == args["pairs"] > 0
 
 
 class TestPopcountDispatch:
@@ -151,25 +286,22 @@ class TestDispatcher:
         assert choose_plan(1, 127) == "dense"
 
     def test_large_supports_tile(self):
-        assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) == "tiled"
-        assert choose_plan(50_000, 127) == "tiled"
-
-    def test_very_wide_registers_stream(self):
-        wide = 64 * STREAMING_MIN_WORDS
-        assert choose_plan(5_000, wide) == "streaming"
-        assert choose_plan(5_000, wide - 64) == "tiled"
+        """Large supports run the row-tiled levels sweep at every width."""
+        for width in (12, 127, 640):
+            assert choose_plan(DENSE_SUPPORT_MAX + 1, width) == "levels"
+        assert choose_plan(50_000, 16) == "levels"
 
     def test_override_wins(self):
-        _force("streaming")
-        assert choose_plan(2, 2) == "streaming"
+        _force("levels")
+        assert choose_plan(2, 2) == "levels"
+        _force("dense")
+        assert choose_plan(50_000, 16) == "dense"
 
     def test_hammer_result_reports_plan(self):
-        from repro.core.hammer import neighborhood_scores
-
         small = Distribution({"01": 1.0, "10": 2.0})
         assert neighborhood_scores(small).kernel == "dense"
-        _force("tiled")
-        assert neighborhood_scores(small).kernel == "tiled"
+        _force("levels")
+        assert neighborhood_scores(small).kernel == "levels"
 
 
 class TestTuningOverrides:
@@ -205,8 +337,11 @@ class TestTuningOverrides:
         assert small_rows == 10 and small_cols == 10
 
     def test_kernel_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "legacy")
-        assert tuning.kernel_override() == "legacy"
+        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "levels")
+        assert tuning.kernel_override() == "levels"
+        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "tiled")
+        with pytest.raises(DistributionError):
+            tuning.kernel_override()
         monkeypatch.setenv("REPRO_HAMMER_KERNEL", "auto")
         assert tuning.kernel_override() is None
         monkeypatch.setenv("REPRO_HAMMER_KERNEL", "warp")
@@ -241,106 +376,3 @@ class TestAverageChsRoutesThroughKernels:
         expected = average_chs(dist)
         _force(plan)
         assert np.allclose(average_chs(dist), expected, atol=1e-9)
-
-
-class TestGpuTier:
-    """The optional CuPy tier: graceful degradation everywhere, exact on-device.
-
-    Only the final class is ``gpu``-marked; the fallback contract must hold
-    (and is exercised) on machines with no CUDA device at all.
-    """
-
-    def test_gpu_plan_name_is_registered(self):
-        assert "gpu" in tuning.KERNEL_PLANS
-        tuning.set_kernel_override("gpu")
-        assert tuning.kernel_override() == "gpu"
-
-    def test_gpu_env_override_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "gpu")
-        assert tuning.kernel_override() == "gpu"
-
-    def test_fallback_without_device_is_bit_identical_to_tiled(self):
-        import warnings
-
-        from repro.core import kernels
-
-        if kernels.gpu_available():
-            pytest.skip("CUDA device present: fallback path not reachable")
-        rng = np.random.default_rng(11)
-        bits = np.unique(rng.integers(0, 2, size=(1400, 70), dtype=np.uint8), axis=0)
-        strings = ["".join("1" if b else "0" for b in row) for row in bits]
-        dist = Distribution(
-            dict(zip(strings, rng.random(len(strings)) + 0.01)), num_bits=70
-        )
-        packed = dist.packed()
-        probs = dist.probability_vector()
-        weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
-        reference = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="tiled")
-        kernels._GPU_STATE["warned"] = False
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            degraded = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="gpu")
-        assert degraded[3] == "tiled"  # provenance records where it actually ran
-        for ref, got in zip(reference[:3], degraded[:3]):
-            assert np.array_equal(ref, got)
-        # The warning fires once per process, not once per call.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            kernels.chs_histogram(packed, probs, 5, plan="gpu")
-        assert not caught
-
-    def test_dispatcher_never_picks_gpu_without_device(self):
-        from repro.core import kernels
-
-        if kernels.gpu_available():
-            pytest.skip("CUDA device present")
-        assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) != "gpu"
-
-    @pytest.mark.gpu
-    def test_gpu_distances_bit_identical_to_cpu(self):
-        from repro.core import kernels
-
-        rng = np.random.default_rng(13)
-        for num_words in (1, 2, 3):
-            words_a = rng.integers(0, 2**63, size=(97, num_words), dtype=np.uint64)
-            words_b = rng.integers(0, 2**63, size=(53, num_words), dtype=np.uint64)
-            cpu = kernels._tile_distances(words_a, words_b)
-            gpu = kernels._tile_distances_gpu(words_a, words_b)
-            assert cpu.dtype == gpu.dtype
-            assert np.array_equal(cpu, gpu)
-
-    @pytest.mark.gpu
-    def test_gpu_plan_bit_identical_to_tiled(self):
-        from repro.core import kernels
-
-        rng = np.random.default_rng(17)
-        bits = np.unique(rng.integers(0, 2, size=(1400, 70), dtype=np.uint8), axis=0)
-        strings = ["".join("1" if b else "0" for b in row) for row in bits]
-        dist = Distribution(
-            dict(zip(strings, rng.random(len(strings)) + 0.01)), num_bits=70
-        )
-        packed = dist.packed()
-        probs = dist.probability_vector()
-        weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
-        tiled = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="tiled")
-        gpu = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="gpu")
-        assert gpu[3] == "gpu"
-        for ref, got in zip(tiled[:3], gpu[:3]):
-            assert np.array_equal(ref, got)
-
-    def test_profile_gpu_ranking_ignored_without_device(self):
-        from repro.core import costmodel, kernels
-
-        if kernels.gpu_available():
-            pytest.skip("CUDA device present")
-        # A travelled profile tuned on a GPU box ranks gpu first; this
-        # machine has no device, so the dispatcher must fall through.
-        fast = costmodel.CostCurve(terms=("1",), coefficients=(1e-9,))
-        slow = costmodel.CostCurve(terms=("1",), coefficients=(10.0,))
-        profile = costmodel.MachineProfile(
-            kernels={"gpu": fast, "tiled": slow, "streaming": slow}
-        )
-        costmodel.set_active_profile(profile)
-        try:
-            assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) != "gpu"
-        finally:
-            costmodel.reset_active_profile()

@@ -76,6 +76,7 @@ class TestCounterDeterminism:
         assert counters["sampler.chunk_shots"] == 40_000
         assert counters["reduction.merges"] == 8  # 5-leaf tree merges 4x, per job
         assert counters["kernel.plan.dense"] >= 1  # the hammer pass dispatched
+        assert counters["kernel.hammer.pairs"] >= 1  # ...and counted its pairs
 
 
 class TestRowsBitIdentical:
@@ -132,12 +133,14 @@ class TestFourLayerTrace:
             if event["ph"] == "M" and "repro-worker" in event["args"]["name"]
         }
         assert worker_pids, "4-worker sharded run should absorb worker-process spans"
-        # The kernel span carries its dispatch plan and support attrs.
+        # The kernel span carries its dispatch plan, support and work attrs.
         kernel_events = [
             event for event in trace["traceEvents"]
             if event.get("ph") == "X" and event["name"] == "kernel.hammer"
         ]
-        assert kernel_events and all("plan" in e["args"] for e in kernel_events)
+        assert kernel_events and all(
+            {"plan", "rows", "pairs"} <= set(e["args"]) for e in kernel_events
+        )
         json.loads(json.dumps(trace))
 
 

@@ -532,12 +532,12 @@ class TestTuneSubcommand:
         from repro.core.costmodel import CostCurve, MachineProfile
 
         profile = MachineProfile(
-            kernels={"tiled": CostCurve(terms=("n2w", "1"), coefficients=(1e-9, 0.0))}
+            sampler=CostCurve(terms=("shots_qubits", "1"), coefficients=(1e-9, 0.0))
         )
         report = ExperimentReport(
             name="tune_machine_profile",
-            rows=[{"bench": "kernel", "support": 2048}],
-            summary={"kernel_agreement": 1.0},
+            rows=[{"bench": "sampler", "qubits": 8, "shots": 4096}],
+            summary={"chunk_shots": 131072.0},
         )
         monkeypatch.setattr(
             "repro.engine.autotune.run_tune", lambda quick=True, seed=0: (profile, report)
@@ -595,10 +595,10 @@ class TestTuneSubcommand:
         assert main(["tune", "--quick", "--profile", str(destination), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert destination.exists()
-        assert payload["summary"]["kernel_agreement"] >= 0.5
+        assert payload["summary"]["tile_entries"] > 0
         loaded = costmodel.load_profile(destination)
         assert loaded is not None
-        assert loaded.kernels and loaded.sampler is not None
+        assert loaded.sampler is not None and loaded.backends and loaded.shard
 
 
 class TestProfileRepeat:

@@ -39,17 +39,14 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 @pytest.fixture(scope="session")
 def bench_record():
     """Accumulates section results; written to BENCH_PR5.json at session end."""
-    from repro.core.costmodel import active_fingerprint
     from repro.core.tuning import detected_cache_bytes, tuning_report
 
-    fingerprint = active_fingerprint()
     record: dict[str, object] = {
         "tuning": tuning_report(),
         "machine": {
             "cpu_count": os.cpu_count(),
             "numpy": np.__version__,
             "cache_bytes": detected_cache_bytes(),
-            "machine_profile": fingerprint if fingerprint is not None else "untuned",
         },
     }
     yield record
@@ -151,7 +148,7 @@ def _run_fig8_sweep() -> float:
 def test_memo_cold_sweep_speedup(bench_record):
     """Guard: a memo-cold hammer-heavy fig8 sweep runs >= 2x faster fused."""
     from repro.core import tuning
-    from repro.core.profiling import collect_phases
+    from repro.obs import collect_phases
 
     # Warm up imports / device registries with a tiny run outside the clocks.
     from repro.engine import ExecutionEngine

@@ -6,20 +6,12 @@ not been pip-installed (e.g. offline environments without the ``wheel``
 package).
 """
 
-import os
 import sys
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-# A developer's tuned machine profile (~/.cache/repro/machine_profile.json)
-# must not steer dispatch during tests: results are bit-identical either way,
-# but decision-source assertions and timing-sensitive tests expect the
-# documented heuristic defaults.  ``setdefault`` keeps any explicit CI choice
-# (e.g. the tuned-sweep bit-identity job) in force.
-os.environ.setdefault("REPRO_TUNE_PROFILE", "off")
 
 
 def pytest_addoption(parser):

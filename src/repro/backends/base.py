@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import abc
 
-from repro.core import costmodel
 from repro.core.distribution import Distribution
 from repro.exceptions import BackendError
+from repro.obs.metrics import counter_add
 from repro.quantum.circuit import QuantumCircuit
 
 __all__ = [
@@ -113,16 +113,12 @@ def get_backend(name: str) -> SimulatorBackend:
 def resolve_backend(name: str, circuit: QuantumCircuit) -> SimulatorBackend:
     """Resolve a job's backend request against the circuit that will run.
 
-    ``"auto"`` picks the stabilizer backend when the circuit is Clifford and
-    fits the tableau, the statevector backend otherwise.  When *both*
-    backends can legally run the circuit and a tuned
-    :class:`~repro.core.costmodel.MachineProfile` is active, the dispatch
-    ranks them by predicted ideal-simulation seconds instead (small
-    Clifford circuits are often faster through the dense path than through
-    a tableau probe + affine-support enumeration); with no profile the
-    historical Clifford-or-not rule applies unchanged.  Explicit names are
-    validated against the circuit (width limit, gate set) so misconfigured
-    jobs fail with a clear message instead of deep inside simulation.
+    An explicit name is the override: it is validated against the circuit
+    (width limit, gate set) so misconfigured jobs fail with a clear message
+    instead of deep inside simulation.  ``"auto"`` applies the heuristic:
+    the stabilizer backend when the circuit is Clifford and fits the
+    tableau, the statevector backend otherwise.  Every resolution counts
+    one ``backend.<name>`` obs counter.
     """
     if name == AUTO_BACKEND:
         stabilizer = _REGISTRY.get("stabilizer")
@@ -131,30 +127,19 @@ def resolve_backend(name: str, circuit: QuantumCircuit) -> SimulatorBackend:
             else "stabilizer backend not registered"
         )
         if stabilizer_reason is None:
-            statevector = _REGISTRY.get("statevector")
-            if statevector is not None and statevector.supports(circuit):
-                profile = costmodel.active_profile()
-                if profile is not None:
-                    choice = profile.backend_choice(
-                        ("stabilizer", "statevector"),
-                        qubits=circuit.num_qubits,
-                        gates=len(circuit.instructions),
-                    )
-                    if choice is not None:
-                        costmodel.record_decision("backend", choice, "profile")
-                        return _REGISTRY[choice]
-            costmodel.record_decision("backend", "stabilizer", "heuristic")
-            return stabilizer
-        statevector = get_backend("statevector")
-        reason = statevector.unsupported_reason(circuit)
-        if reason is None:
-            costmodel.record_decision("backend", "statevector", "heuristic")
-            return statevector
-        raise BackendError(
-            f"no backend can run circuit {circuit.name!r}: {reason}; {stabilizer_reason}"
-        )
-    backend = get_backend(name)
-    backend.ensure_supports(circuit)
+            backend = stabilizer
+        else:
+            backend = get_backend("statevector")
+            reason = backend.unsupported_reason(circuit)
+            if reason is not None:
+                raise BackendError(
+                    f"no backend can run circuit {circuit.name!r}: {reason}; "
+                    f"{stabilizer_reason}"
+                )
+    else:
+        backend = get_backend(name)
+        backend.ensure_supports(circuit)
+    counter_add(f"backend.{backend.name}")
     return backend
 
 

@@ -17,8 +17,6 @@ Usage::
     python -m repro.cli profile fig8 --repeat 5   # median-of-5 phase timings
     python -m repro.cli profile fig8 --metrics    # + obs counters/gauges/histograms
     python -m repro.cli trace fig8 --trace-out trace.json   # Chrome trace export
-    python -m repro.cli tune --quick              # calibrate the cost model
-    python -m repro.cli fig8 --profile machine_profile.json
     python -m repro.cli shard-worker --listen 127.0.0.1:7641   # serve shard chunks
     python -m repro.cli shard-broker --listen 127.0.0.1:7640   # lease-broker service
     python -m repro.cli shard-worker --broker 127.0.0.1:7640   # pull worker
@@ -58,21 +56,16 @@ protocol is pickle over TCP: set ``REPRO_SHARD_KEY`` on every peer so
 frames are HMAC-authenticated before unpickling, and even then only run
 workers on networks where every keyed peer is trusted.
 
-``tune`` runs the one-time cost-model microbenchmarks
-(:mod:`repro.engine.autotune`) and persists the fitted
-:class:`~repro.core.costmodel.MachineProfile`; every later run consults it
-for tile-size / shard / worker / backend dispatch (results stay bit-identical
-to untuned runs).  ``--profile PATH`` points any run — including worker
-processes — at a specific profile file (it is exported as
-``REPRO_TUNE_PROFILE``); for ``tune`` it selects where the profile is
-written.
+Dispatch follows one rule everywhere: an explicit override (a flag,
+constructor argument or ``REPRO_*`` environment variable), else the built-in
+heuristic — support size picks the HAMMER kernel plan, Clifford-ness picks
+the ``auto`` backend, and shot count picks the shard layout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -118,7 +111,6 @@ __all__ = [
     "run_experiment",
     "profile_report",
     "trace_report",
-    "tune_report",
     "devices_report",
     "scenarios_report",
     "backends_report",
@@ -315,13 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "see the 'scenarios' subcommand for the registry)")
     parser.add_argument("--cache-dir", type=str, default=None, metavar="PATH",
                         help="persist transpiles + ideal distributions across runs")
-    parser.add_argument("--profile", type=str, default=None, metavar="PATH",
-                        help="machine cost-model profile to load (exported as "
-                             "REPRO_TUNE_PROFILE so worker processes inherit it); "
-                             "with 'tune', where to write the fitted profile")
-    parser.add_argument("--quick", action="store_true",
-                        help="tune only: the CI-sized microbenchmark grid (seconds, "
-                             "not tens of seconds)")
     parser.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
                         help="profile only: run the experiment N times (fresh engine "
                              "each) and report median per-phase seconds")
@@ -472,9 +457,8 @@ def profile_report(
     import time as _time
     from contextlib import nullcontext
 
-    from repro.core.profiling import collect_phases
     from repro.core.tuning import tuning_report
-    from repro.obs import Observation
+    from repro.obs import Observation, collect_phases
 
     if target not in EXPERIMENTS:
         raise SystemExit(f"unknown experiment {target!r}; run 'list' to see the registry")
@@ -570,30 +554,6 @@ def trace_report(
         "events": len(trace["traceEvents"]),
         "dropped": trace["otherData"]["dropped_events"],
     }
-    return report
-
-
-def tune_report(args: argparse.Namespace) -> ExperimentReport:
-    """Run the cost-model microbenchmarks and persist the fitted profile.
-
-    The destination is :func:`repro.core.costmodel.profile_path` — i.e.
-    ``--profile PATH`` when given (``main`` exports it as
-    ``REPRO_TUNE_PROFILE`` first), else the env variable, else the default
-    cache location.  The freshly written profile becomes active immediately.
-    """
-    from repro.core import costmodel
-    from repro.engine.autotune import run_tune
-
-    profile, report = run_tune(quick=getattr(args, "quick", False))
-    path = costmodel.profile_path()
-    if path is None:
-        raise SystemExit(
-            "profile loading is disabled (REPRO_TUNE_PROFILE is set to a disabled "
-            "value); pass --profile PATH to choose where the tuned profile is written"
-        )
-    costmodel.save_profile(profile, path)
-    costmodel.reset_active_profile()
-    report.meta["profile_path"] = str(path)
     return report
 
 
@@ -704,6 +664,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {*EXPERIMENTS, *SUBCOMMANDS, "list", "profile", "trace", "shard-worker",
+                "shard-broker"}
+    if args.experiment not in commands:
+        parser.error(f"unknown experiment {args.experiment!r}; run 'list' to see the registry")
     if args.target is not None and args.experiment not in ("profile", "trace"):
         parser.error(
             f"unexpected positional {args.target!r}: only the 'profile' and 'trace' "
@@ -720,8 +684,6 @@ def main(argv: list[str] | None = None) -> int:
             f"--backend/--scenario only apply to {sorted(BACKEND_AWARE_EXPERIMENTS)}; "
             f"{profiled!r} runs its pinned sweep and would silently ignore them"
         )
-    if args.quick and args.experiment != "tune":
-        parser.error("--quick only applies to the 'tune' subcommand")
     if args.repeat != 1 and args.experiment != "profile":
         parser.error("--repeat only applies to the 'profile' subcommand")
     if args.metrics and args.experiment != "profile":
@@ -750,13 +712,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--max-requests only applies to the 'shard-worker' subcommand")
         if args.delay:
             parser.error("--delay only applies to the 'shard-worker' subcommand")
-    if args.profile is not None:
-        # Exported (not just loaded) so worker processes inherit the same
-        # profile: the pool re-imports repro and reads REPRO_TUNE_PROFILE.
-        from repro.core import costmodel
-
-        os.environ[costmodel.ENV_PROFILE] = args.profile
-        costmodel.reset_active_profile()
     if args.experiment == "list":
         rows = [{"id": key, "description": description} for key, (description, _) in EXPERIMENTS.items()]
         rows += [{"id": key, "description": description} for key, (description, _) in SUBCOMMANDS.items()]
@@ -770,12 +725,6 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "id": "trace <experiment>",
                 "description": "Traced run: Chrome trace-event JSON + merged metrics (repro.obs)",
-            }
-        )
-        rows.append(
-            {
-                "id": "tune",
-                "description": "Calibrate the cost-model profile (one-time microbenchmarks)",
             }
         )
         rows.append(
@@ -802,8 +751,6 @@ def main(argv: list[str] | None = None) -> int:
         report = profile_report(args.target, args)
     elif args.experiment == "trace":
         report = trace_report(args.target, args)
-    elif args.experiment == "tune":
-        report = tune_report(args)
     elif args.experiment in SUBCOMMANDS:
         _, builder = SUBCOMMANDS[args.experiment]
         report = builder()

@@ -43,8 +43,8 @@ import numpy as np
 
 from repro.core.distribution import Distribution
 from repro.core.kernels import hammer_pass
-from repro.core.profiling import record_phase_seconds
 from repro.obs.metrics import counter_add
+from repro.obs.phases import record_phase_seconds
 from repro.obs.trace import trace_span
 from repro.core.weights import InverseChsWeights, WeightScheme, resolve_weight_scheme
 from repro.exceptions import DistributionError

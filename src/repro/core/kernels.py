@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core import costmodel, tuning
+from repro.core import tuning
 from repro.exceptions import DistributionError
 from repro.obs.metrics import counter_add
 
@@ -366,19 +366,17 @@ def _level_scores(
 def choose_plan(num_outcomes: int, num_bits: int) -> str:
     """Kernel plan for a ``(support size, width)`` shape.
 
-    ``REPRO_HAMMER_KERNEL`` (or the programmatic override) wins outright;
-    otherwise supports up to :data:`DENSE_SUPPORT_MAX` run ``dense`` — the
-    bit-identical historical arithmetic the golden fixtures live on — and
-    larger ones run ``levels``.  The width does not enter the choice: the
-    one large-support plan serves every register width.
+    Override, else heuristic: ``REPRO_HAMMER_KERNEL`` (or the programmatic
+    override) wins outright; otherwise supports up to
+    :data:`DENSE_SUPPORT_MAX` run ``dense`` — the bit-identical historical
+    arithmetic the golden fixtures live on — and larger ones run
+    ``levels``.  The width does not enter the choice: the one large-support
+    plan serves every register width.  Each choice counts one
+    ``kernel.plan.<plan>`` obs counter.
     """
-    override = tuning.kernel_override()
-    if override is not None:
-        plan, source = override, "override"
-    else:
+    plan = tuning.kernel_override()
+    if plan is None:
         plan = "dense" if num_outcomes <= DENSE_SUPPORT_MAX else "levels"
-        source = "heuristic"
-    costmodel.record_decision("kernel", plan, source)
     counter_add(f"kernel.plan.{plan}")
     return plan
 

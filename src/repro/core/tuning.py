@@ -9,9 +9,9 @@ that evaluation:
   Overridable via ``REPRO_PAIRWISE_BLOCK_ENTRIES``; the historical default
   of 4,000,000 is kept so the ``dense`` plan's float accumulation order is
   unchanged when the variable is unset;
-* the **tile size** of the ``levels`` plan's sweeps — auto-tuned at import
+* the **tile size** of the ``levels`` plan's sweeps — derived at import
   from the detected last-level data cache so one tile's working set stays
-  cache-resident.  ``REPRO_TILE_ENTRIES`` overrides the tuned value.
+  cache-resident.  ``REPRO_TILE_ENTRIES`` overrides the derived value.
 
 Tuning is *deterministic*: sizes derive from ``/sys`` cache topology (with a
 fixed fallback), never from timing runs, so repeated runs — and worker
@@ -173,22 +173,12 @@ def pairwise_block_size(num_outcomes: int) -> int:
 
 
 def tile_entries() -> int:
-    """Entries per symmetric tile: env override, else tuned profile, else cache.
+    """Entries per symmetric tile: ``REPRO_TILE_ENTRIES``, else the cache default.
 
-    The same precedence every autoscheduling consumer follows
-    (``REPRO_TILE_ENTRIES`` > :mod:`repro.core.costmodel` profile >
-    deterministic cache-derived default), with the clamp applied last so no
-    source can push a tile outside the sane range.
+    The default is the deterministic cache-derived size; the clamp applies
+    last, so neither source can push a tile outside the sane range.
     """
     value = _parse_positive_int(_ENV_TILE_ENTRIES)
-    if value is None:
-        from repro.core import costmodel
-
-        profile = costmodel.active_profile()
-        if profile is not None:
-            tuned = profile.tuning.get("tile_entries")
-            if tuned is not None and tuned > 0:
-                value = int(tuned)
     if value is None:
         value = _CACHE_BYTES
     return max(_MIN_TILE_ENTRIES, min(_MAX_TILE_ENTRIES, value))
@@ -210,13 +200,9 @@ def tile_shape(num_outcomes: int) -> tuple[int, int]:
 
 def tuning_report() -> dict[str, object]:
     """Flat summary of the effective tuning decisions (for ``repro profile``)."""
-    from repro.core import costmodel
-
-    fingerprint = costmodel.active_fingerprint()
     return {
         "cache_bytes": _CACHE_BYTES,
         "pairwise_block_entries": pairwise_block_entries(),
         "tile_entries": tile_entries(),
         "kernel_override": kernel_override() or "auto",
-        "machine_profile": fingerprint if fingerprint is not None else "untuned",
     }

@@ -205,17 +205,18 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
     artifact the same per-stage visibility :func:`trace_pipeline` rows give
     the post-processing pipeline.
 
-    A ``planner`` block records how the sweep was autoscheduled: the active
-    machine-profile fingerprint (``"heuristic"`` when untuned), the engine's
-    shard/worker decisions, and the process-global kernel/backend decision
-    counters — so every JSON artifact shows which dispatch path produced it.
+    A ``planner`` block records how the sweep was dispatched: the engine's
+    shard and shard-executor decisions (each labelled ``override`` or
+    ``heuristic``), the reduction-tree totals and, for remote executors,
+    the transport provenance.  Kernel-plan and backend choices are
+    ``kernel.plan.<plan>`` / ``backend.<name>`` counters in the ``obs``
+    block.
 
     When an :class:`~repro.obs.observe.Observation` is active, an ``obs``
     block (metrics snapshot, span summary, structured log records) rides
     along too, so traced/metered runs are diagnosable from the artifact
     alone.
     """
-    from repro.core import costmodel
     from repro.obs.observe import current_observation
 
     stats = getattr(engine, "lifetime_stats", None)
@@ -223,14 +224,11 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
         engine_meta = stats.as_dict()
         engine_meta.update(engine.cache.stats())
         report.meta["engine"] = engine_meta
-        fingerprint = costmodel.active_fingerprint()
         report.meta["planner"] = {
-            "machine_profile": fingerprint if fingerprint is not None else "heuristic",
             "engine": {
                 kind: dict(counts)
                 for kind, counts in sorted(stats.planner_decisions.items())
             },
-            "costmodel": costmodel.decision_counts(),
             "reduction": {
                 "merges": stats.reduction_merges,
                 "tree_depth": stats.reduction_tree_depth,

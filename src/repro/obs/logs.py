@@ -1,7 +1,7 @@
 """Structured logging that lands in artifacts, not just on stderr.
 
-The scattered warn-once paths of the stack (broker fallback, corrupt
-machine profiles) historically went through :mod:`warnings` — visible on an
+The scattered warn-once paths of the stack (broker fallback, cache
+persist failures) historically went through :mod:`warnings` — visible on an
 interactive stderr, invisible in the JSON artifact of a headless sweep.
 This module gives them one structured sink:
 

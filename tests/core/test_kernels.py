@@ -359,7 +359,6 @@ class TestTuningOverrides:
             "pairwise_block_entries",
             "tile_entries",
             "kernel_override",
-            "machine_profile",
         }
         assert report["kernel_override"] == "auto"
 

@@ -17,6 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import synthetic_snapshot
+from repro.circuits.bv import bernstein_vazirani
+from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.hashing import (
     circuit_fingerprint,
     ideal_key,
@@ -150,3 +152,24 @@ class TestKnownCollisionTraps:
         base = sample_key(circuit, model, 64, "bitflip", (0, 0))
         assert base != sample_key(circuit, model, 128, "bitflip", (0, 0))
         assert base != sample_key(circuit, model, 64, "trajectory", (0, 0))
+
+
+class TestPinnedSampleKeys:
+    """Sample-key digests are a persistent-cache format: they must not drift.
+
+    A warm ``--cache-dir`` holds samples under these digests; a key change
+    would silently turn every warm entry into a miss.
+    """
+
+    UNSHARDED = "12548dab46c2ef68b0165b9753a281936741c3604514739583de20160acae2bb"
+    SHARDED = "ecf87f00aa294d055fb8a80aaed1aa5f48e2da50e9f3a8e5700e9c62a9a1d3a4"
+
+    @pytest.mark.parametrize(
+        "shots, shard_shots, digest", [(1_024, None, UNSHARDED), (8_192, 2_048, SHARDED)]
+    )
+    def test_engine_stores_samples_under_the_pinned_key(self, shots, shard_shots, digest):
+        engine = ExecutionEngine(sample_shard_shots=shard_shots)
+        job = CircuitJob(job_id="bv", circuit=bernstein_vazirani("10110"), shots=shots,
+                         noise_model=NoiseModel())
+        engine.run_single(job, seed=7)
+        assert ("sample", digest) in engine.cache

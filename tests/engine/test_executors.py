@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.circuits.bv import bernstein_vazirani
-from repro.core import costmodel
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.executors import (
     LoopbackHostExecutor,
@@ -223,18 +222,5 @@ class TestReductionStatsSurface:
 class TestChunksizeOverheadFloor:
     def test_chunksize_unchanged_without_profile(self):
         engine = ExecutionEngine(max_workers=4)
-        assert engine._pool_chunksize(64, None) == 4
-        assert engine._pool_chunksize(64, 0.002) == 4  # no profile active
-
-    def test_chunksize_grows_for_cheap_tasks_under_profile(self):
-        profile = costmodel.MachineProfile(engine={"per_job_overhead": 0.01})
-        engine = ExecutionEngine(max_workers=4)
-        costmodel.set_active_profile(profile)
-        try:
-            # 1 ms tasks vs 10 ms dispatch overhead: chunks must carry ~4x
-            # the overhead of work (40 tasks), capped at num_tasks/workers.
-            assert engine._pool_chunksize(64, 0.001) == 16
-            # Expensive tasks keep the count-based split.
-            assert engine._pool_chunksize(64, 10.0) == 4
-        finally:
-            costmodel.reset_active_profile()
+        assert engine._pool_chunksize(64) == 4
+        assert engine._pool_chunksize(3) == 1

@@ -20,9 +20,11 @@ import json
 import pytest
 
 from repro.circuits.bv import bernstein_vazirani
+from repro.circuits.qft import qft_basis_state_circuit
 from repro.core.hammer import hammer
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.experiments import BvStudyConfig, run_bv_study
+from repro.experiments.runner import ExperimentReport, attach_engine_meta
 from repro.obs import Observation
 from repro.quantum.device import get_device
 
@@ -198,3 +200,20 @@ class TestReportMeta:
         assert obs["spans"]["events"] > 0
         assert "engine.run" in obs["spans"]["names"]
         json.loads(json.dumps(obs))  # the meta block is artifact-safe JSON
+
+    def test_auto_backend_choice_is_an_obs_counter(self, device):
+        """``auto`` resolution counts ``backend.<name>`` next to ``kernel.plan.<plan>``."""
+        jobs = [
+            CircuitJob(job_id="clifford", circuit=bernstein_vazirani("10110"), shots=256,
+                       noise_model=device.noise_model, backend="auto"),
+            CircuitJob(job_id="non-clifford", circuit=qft_basis_state_circuit("101"),
+                       shots=256, noise_model=device.noise_model, backend="auto"),
+        ]
+        with Observation():
+            engine = ExecutionEngine()
+            results = engine.run(jobs, seed=3)
+            report = attach_engine_meta(ExperimentReport(name="backend-counter"), engine)
+        assert [result.backend for result in results] == ["stabilizer", "statevector"]
+        counters = report.meta["obs"]["metrics"]["counters"]
+        assert counters["backend.stabilizer"] == 1
+        assert counters["backend.statevector"] == 1

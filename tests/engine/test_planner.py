@@ -1,13 +1,10 @@
-"""Tests for cost-model-driven engine planning: shards, workers, backends.
+"""Tests for engine dispatch planning: explicit override, else heuristic.
 
 The invariants under test:
 
-* **Precedence** — explicit env/constructor overrides beat the tuned
-  profile, which beats the built-in heuristics.
-* **Bit-identity** — when the tuned layout agrees with the heuristic one,
-  the sample cache key (and therefore every histogram) is unchanged; a
-  divergent tuned layout gets its own key namespace (the ``planner`` tag)
-  and never collides with heuristic cache entries.
+* **Precedence** — an explicit env/constructor shard threshold is recorded
+  as an ``override``; without one the built-in threshold applies and is
+  recorded as ``heuristic``.
 * **Provenance** — every decision is counted in
   ``EngineRunStats.planner_decisions`` and surfaced through
   ``attach_engine_meta``.
@@ -15,43 +12,10 @@ The invariants under test:
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.backends import resolve_backend
 from repro.circuits.bv import bernstein_vazirani
-from repro.core import costmodel
-from repro.core.costmodel import CostCurve, MachineProfile
-from repro.engine import CircuitJob, ExecutionCache, ExecutionEngine
-from repro.engine.hashing import sample_key
+from repro.engine import CircuitJob, ExecutionEngine
 from repro.experiments.runner import ExperimentReport, attach_engine_meta
 from repro.quantum.noise import NoiseModel
-
-
-@pytest.fixture(autouse=True)
-def _isolated_costmodel():
-    costmodel.set_active_profile(None)
-    costmodel.reset_decisions()
-    yield
-    costmodel.reset_active_profile()
-    costmodel.reset_decisions()
-
-
-def _profile(
-    chunk_shots: float = 2_048.0,
-    min_shots: float = 2_048.0,
-    parallel_min_seconds: float = 0.0,
-    backends: dict | None = None,
-    sampler: CostCurve | None = None,
-) -> MachineProfile:
-    return MachineProfile(
-        sampler=sampler
-        if sampler is not None
-        else CostCurve(terms=("shots_qubits", "shots", "1"), coefficients=(1e-8, 1e-7, 1e-4)),
-        shard={"chunk_shots": chunk_shots, "min_shots": min_shots},
-        engine={"parallel_min_seconds": parallel_min_seconds},
-        backends=backends or {},
-    )
 
 
 def _job(job_id: str = "j0", shots: int = 1_024, width: int = 5, **kwargs) -> CircuitJob:
@@ -65,9 +29,8 @@ def _job(job_id: str = "j0", shots: int = 1_024, width: int = 5, **kwargs) -> Ci
 
 
 class TestShardPrecedence:
-    def test_env_override_beats_profile(self, monkeypatch):
+    def test_env_value_is_an_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLE_SHARD_SHOTS", "5000")
-        costmodel.set_active_profile(_profile(chunk_shots=1_024.0, min_shots=1_024.0))
         engine = ExecutionEngine()
         engine.run_single(_job(shots=8_192), seed=3)
         stats = engine.last_run_stats
@@ -76,23 +39,12 @@ class TestShardPrecedence:
         assert stats.planner_decisions["shard"] == {"chunk:5000/override": 1}
 
     def test_constructor_argument_is_an_override(self):
-        costmodel.set_active_profile(_profile(chunk_shots=1_024.0))
         engine = ExecutionEngine(sample_shard_shots=4_096)
         engine.run_single(_job(shots=8_192), seed=3)
         assert engine.last_run_stats.sample_shards == 2
         assert engine.last_run_stats.planner_decisions["shard"] == {
             "chunk:4096/override": 1
         }
-
-    def test_profile_layout_when_no_override(self):
-        costmodel.set_active_profile(_profile(chunk_shots=2_048.0, min_shots=2_048.0))
-        engine = ExecutionEngine()
-        result = engine.run_single(_job(shots=8_192), seed=3)
-        stats = engine.last_run_stats
-        assert stats.sharded_jobs == 1
-        assert stats.sample_shards == 4
-        assert stats.planner_decisions["shard"] == {"chunk:2048/profile": 1}
-        assert sum(result.noisy.counts().values()) == 8_192
 
     def test_heuristic_without_profile(self):
         engine = ExecutionEngine()
@@ -102,158 +54,18 @@ class TestShardPrecedence:
         assert stats.planner_decisions["shard"] == {"none/heuristic": 1}
 
 
-class TestBitIdentity:
-    def test_agreeing_layout_shares_cache_key_with_untuned(self):
-        """Tuned run with heuristic-identical layout hits the untuned cache."""
-        cache = ExecutionCache(None)
-        ExecutionEngine(cache=cache).run_single(_job(shots=1_024), seed=7)
-        # min_shots far above the job: the profile agrees with "unsharded".
-        costmodel.set_active_profile(_profile(min_shots=1e9))
-        tuned_engine = ExecutionEngine(cache=cache)
-        tuned_engine.run_single(_job(shots=1_024), seed=7)
-        assert tuned_engine.last_run_stats.sample_cache_hits == 1
-
-    def test_divergent_layout_gets_own_cache_namespace(self):
-        """A profile-divergent shard layout must never replay heuristic entries."""
-        cache = ExecutionCache(None)
-        untuned_engine = ExecutionEngine(cache=cache)
-        untuned_result = untuned_engine.run_single(_job(shots=8_192), seed=7)
-        costmodel.set_active_profile(_profile(chunk_shots=2_048.0, min_shots=2_048.0))
-        tuned_engine = ExecutionEngine(cache=cache)
-        tuned_result = tuned_engine.run_single(_job(shots=8_192), seed=7)
-        assert tuned_engine.last_run_stats.sample_cache_hits == 0
-        # Both draws are valid 8192-shot histograms; the layouts differ, so
-        # the RNG stream layouts (and keys) differ too.
-        assert sum(untuned_result.noisy.counts().values()) == 8_192
-        assert sum(tuned_result.noisy.counts().values()) == 8_192
-        # Re-running tuned replays the tuned entry exactly.
-        replay_engine = ExecutionEngine(cache=cache)
-        replay = replay_engine.run_single(_job(shots=8_192), seed=7)
-        assert replay_engine.last_run_stats.sample_cache_hits == 1
-        assert replay.noisy.counts() == tuned_result.noisy.counts()
-
-    def test_planner_tag_changes_sample_key(self):
-        circuit = bernstein_vazirani("10110")
-        base = sample_key(circuit, NoiseModel(), 1_024, "bitflip", (0, 0))
-        tagged = sample_key(
-            circuit, NoiseModel(), 1_024, "bitflip", (0, 0), planner="cost-model"
-        )
-        assert base != tagged
-        assert base == sample_key(circuit, NoiseModel(), 1_024, "bitflip", (0, 0), planner=None)
-
-    def test_rows_identical_with_and_without_profile_across_workers(self):
-        """A realistic tuned profile never changes results for any --jobs N."""
-        jobs = [_job(job_id=f"j{i}", shots=2_048, width=4 + i) for i in range(3)]
-        # Realistic tune output: sharding only far above these shot counts.
-        profile = _profile(chunk_shots=131_072.0, min_shots=262_144.0)
-
-        def counts(workers: int, tuned: bool):
-            costmodel.set_active_profile(profile if tuned else None)
-            try:
-                with ExecutionEngine(max_workers=workers) as engine:
-                    results = engine.run(list(jobs), seed=11)
-                return [result.noisy.counts() for result in results]
-            finally:
-                costmodel.set_active_profile(None)
-
-        baseline = counts(1, tuned=False)
-        assert counts(2, tuned=False) == baseline
-        assert counts(1, tuned=True) == baseline
-        assert counts(2, tuned=True) == baseline
-
-
-class TestWorkerPlanning:
-    def test_small_batch_serialized_under_profile(self):
-        costmodel.set_active_profile(
-            _profile(min_shots=1e9, parallel_min_seconds=1e9)
-        )
-        with ExecutionEngine(max_workers=2) as engine:
-            engine.run([_job(job_id="a"), _job(job_id="b", width=6)], seed=1)
-            assert engine.last_run_stats.planner_decisions["workers"] == {"1/profile": 1}
-
-    def test_large_predicted_work_keeps_requested_workers(self):
-        costmodel.set_active_profile(
-            _profile(min_shots=1e9, parallel_min_seconds=1e-9)
-        )
-        with ExecutionEngine(max_workers=2) as engine:
-            engine.run([_job(job_id="a"), _job(job_id="b", width=6)], seed=1)
-            assert engine.last_run_stats.planner_decisions["workers"] == {"2/profile": 1}
-
-    def test_no_profile_or_no_curve_keeps_requested_workers(self):
-        with ExecutionEngine(max_workers=2) as engine:
-            engine.run([_job(job_id="a"), _job(job_id="b", width=6)], seed=1)
-            assert engine.last_run_stats.planner_decisions["workers"] == {
-                "2/heuristic": 1
-            }
-        costmodel.set_active_profile(
-            MachineProfile(engine={"parallel_min_seconds": 1e9})
-        )
-        with ExecutionEngine(max_workers=2) as engine:
-            engine.run([_job(job_id="a"), _job(job_id="b", width=6)], seed=1)
-            assert engine.last_run_stats.planner_decisions["workers"] == {
-                "2/heuristic": 1
-            }
-
-
-class TestBackendPlanning:
-    def test_auto_prefers_profile_ranked_backend(self):
-        circuit = bernstein_vazirani("101101")
-        assert resolve_backend("auto", circuit).name == "stabilizer"
-        costmodel.set_active_profile(
-            _profile(
-                backends={
-                    "statevector": CostCurve(terms=("1",), coefficients=(1e-6,)),
-                    "stabilizer": CostCurve(terms=("1",), coefficients=(1e-3,)),
-                }
-            )
-        )
-        assert resolve_backend("auto", circuit).name == "statevector"
-        counts = costmodel.decision_counts()["backend"]
-        assert counts["stabilizer/heuristic"] == 1
-        assert counts["statevector/profile"] == 1
-
-    def test_partial_ranking_falls_back_to_heuristic(self):
-        circuit = bernstein_vazirani("101101")
-        costmodel.set_active_profile(
-            _profile(
-                backends={"statevector": CostCurve(terms=("1",), coefficients=(1e-6,))}
-            )
-        )
-        assert resolve_backend("auto", circuit).name == "stabilizer"
-
-    def test_explicit_backend_ignores_profile(self):
-        circuit = bernstein_vazirani("101101")
-        costmodel.set_active_profile(
-            _profile(
-                backends={
-                    "statevector": CostCurve(terms=("1",), coefficients=(1e-3,)),
-                    "stabilizer": CostCurve(terms=("1",), coefficients=(1e-6,)),
-                }
-            )
-        )
-        assert resolve_backend("statevector", circuit).name == "statevector"
-
-
 class TestPlannerProvenance:
     def test_attach_engine_meta_records_planner_block(self):
         engine = ExecutionEngine()
         engine.run([_job(job_id="a"), _job(job_id="b", width=6)], seed=2)
         report = attach_engine_meta(ExperimentReport(name="planner-test"), engine)
         planner = report.meta["planner"]
-        assert planner["machine_profile"] == "heuristic"
-        assert planner["engine"]["shard"] == {"none/heuristic": 2}
-        assert "kernel" in planner["costmodel"] or planner["costmodel"] == {}
+        assert set(planner) == {"engine", "reduction"}
+        assert planner["engine"] == {"shard": {"none/heuristic": 2}}
+        assert planner["reduction"]["merges"] == 0
         assert report.meta["engine"]["planner_decisions"]["shard"] == {
             "none/heuristic": 2
         }
-
-    def test_meta_carries_profile_fingerprint_when_tuned(self):
-        profile = _profile(min_shots=1e9)
-        costmodel.set_active_profile(profile)
-        engine = ExecutionEngine()
-        engine.run_single(_job(), seed=2)
-        report = attach_engine_meta(ExperimentReport(name="planner-test"), engine)
-        assert report.meta["planner"]["machine_profile"] == profile.fingerprint()
 
     def test_stats_accumulate_merges_decision_counters(self):
         engine = ExecutionEngine()

@@ -72,6 +72,14 @@ class TestRegistry:
         with pytest.raises(SystemExit):
             run_experiment("figure-999", args)
 
+    @pytest.mark.parametrize("argv", [["figure-999"], ["tune"], ["tune", "--quick"],
+                                      ["fig8", "--profile", "profile.json"]])
+    def test_unknown_command_or_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_list_command(self, capsys):
@@ -516,91 +524,6 @@ class TestBackendSubcommands:
             main(["fig8", "--scenario", "linear-12-spread"])
 
 
-class TestTuneSubcommand:
-    @pytest.fixture(autouse=True)
-    def _isolated_profile_env(self, monkeypatch):
-        # main() exports --profile into REPRO_TUNE_PROFILE; pin it so the
-        # mutation is rolled back after each test.
-        from repro.core import costmodel
-
-        monkeypatch.setenv(costmodel.ENV_PROFILE, "off")
-        costmodel.reset_active_profile()
-        yield
-        costmodel.reset_active_profile()
-
-    def _stub_tune(self, monkeypatch):
-        from repro.core.costmodel import CostCurve, MachineProfile
-
-        profile = MachineProfile(
-            sampler=CostCurve(terms=("shots_qubits", "1"), coefficients=(1e-9, 0.0))
-        )
-        report = ExperimentReport(
-            name="tune_machine_profile",
-            rows=[{"bench": "sampler", "qubits": 8, "shots": 4096}],
-            summary={"chunk_shots": 131072.0},
-        )
-        monkeypatch.setattr(
-            "repro.engine.autotune.run_tune", lambda quick=True, seed=0: (profile, report)
-        )
-        return profile
-
-    def test_tune_writes_profile_and_report(self, monkeypatch, tmp_path, capsys):
-        from repro.core import costmodel
-
-        profile = self._stub_tune(monkeypatch)
-        destination = tmp_path / "machine_profile.json"
-        assert main(["tune", "--quick", "--profile", str(destination), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["name"] == "tune_machine_profile"
-        assert payload["meta"]["profile_path"] == str(destination)
-        loaded = costmodel.load_profile(destination)
-        assert loaded is not None
-        assert loaded.fingerprint() == profile.fingerprint()
-        # The freshly tuned profile is immediately active (env now points at it).
-        assert costmodel.active_fingerprint() == profile.fingerprint()
-
-    def test_tune_requires_a_destination_when_disabled(self, monkeypatch):
-        self._stub_tune(monkeypatch)
-        with pytest.raises(SystemExit, match="--profile"):
-            main(["tune"])
-
-    def test_quick_flag_rejected_outside_tune(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig8a", "--quick"])
-        assert "--quick only applies" in capsys.readouterr().err
-
-    def test_repeat_flag_rejected_outside_profile(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig8a", "--repeat", "3"])
-        assert "--repeat only applies" in capsys.readouterr().err
-
-    def test_list_mentions_tune(self, capsys):
-        assert main(["list"]) == 0
-        assert "tune" in capsys.readouterr().out
-
-    def test_experiment_with_profile_flag_loads_it(self, tmp_path, capsys):
-        from repro.core import costmodel
-        from repro.core.costmodel import MachineProfile
-
-        path = costmodel.save_profile(MachineProfile(), tmp_path / "p.json")
-        assert main(["fig1a", "--profile", str(path), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["meta"]["planner"]["machine_profile"] == MachineProfile().fingerprint()
-
-    @pytest.mark.slow
-    def test_real_quick_tune_end_to_end(self, tmp_path, capsys):
-        from repro.core import costmodel
-
-        destination = tmp_path / "machine_profile.json"
-        assert main(["tune", "--quick", "--profile", str(destination), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert destination.exists()
-        assert payload["summary"]["tile_entries"] > 0
-        loaded = costmodel.load_profile(destination)
-        assert loaded is not None
-        assert loaded.sampler is not None and loaded.backends and loaded.shard
-
-
 class TestProfileRepeat:
     def test_repeat_reports_median_phases(self, capsys):
         assert main(["profile", "fig8a", "--repeat", "2", "--format", "json"]) == 0
@@ -615,3 +538,8 @@ class TestProfileRepeat:
         assert main(["profile", "fig8a", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["meta"]["repeat"] == 1
+
+    def test_repeat_flag_rejected_outside_profile(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig8a", "--repeat", "3"])
+        assert "--repeat only applies" in capsys.readouterr().err

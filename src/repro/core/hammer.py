@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.distribution import Distribution
+from repro.core.distribution import Distribution, sequential_sum
 from repro.core.kernels import hammer_pass
 from repro.obs.metrics import counter_add
 from repro.obs.phases import record_phase_seconds
@@ -186,7 +186,7 @@ def hammer_reference(
             score += weights[distance] * probabilities[y]
         updated[x] = score * probabilities[x]
 
-    total = sum(updated.values())
+    total = sequential_sum(updated.values())
     if total <= 0:
         # Degenerate case (e.g. single outcome): fall back to the input.
         return distribution.normalized()

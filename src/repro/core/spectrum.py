@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.bitstring import PackedOutcomes, validate_bitstring
-from repro.core.distribution import Distribution
+from repro.core.distribution import Distribution, sequential_sum
 from repro.core.kernels import chs_histogram
 from repro.exceptions import DistributionError
 
@@ -71,7 +71,7 @@ class HammingSpectrum:
         members = self.bin_members[distance]
         if not members:
             return 0.0
-        return float(sum(p for _, p in members) / len(members))
+        return sequential_sum([p for _, p in members]) / len(members)
 
     def correct_probability(self) -> float:
         """Probability mass of the correct outcomes (the distance-0 bin)."""

@@ -24,6 +24,7 @@ import numpy as np
 from repro.circuits.bv import bernstein_vazirani, bv_secret_key
 from repro.circuits.ghz import ghz_circuit, ghz_correct_outcomes
 from repro.circuits.qaoa import default_qaoa_parameters, qaoa_circuit
+from repro.core.distribution import sequential_sum
 from repro.core.hammer import HammerConfig, neighborhood_scores
 from repro.core.spectrum import cumulative_hamming_strength, hamming_spectrum
 from repro.engine import CircuitJob, ExecutionEngine, JobResult
@@ -104,7 +105,7 @@ def run_bv_histogram_example(
         )
     report = ExperimentReport(name="figure1a_bv_histogram", rows=rows)
     report.summary["correct_probability"] = probability_of_successful_trial(noisy, secret_key)
-    within_two = sum(r["probability"] for r in rows if r["hamming_distance"] <= 2)
+    within_two = sequential_sum([r["probability"] for r in rows if r["hamming_distance"] <= 2])
     report.summary["mass_within_distance_2"] = float(within_two)
     return attach_engine_meta(report, engine)
 
@@ -222,8 +223,8 @@ def run_ghz_clustering(
     report = ExperimentReport(name="section31_ghz_clustering", rows=rows)
     report.summary["correct_probability"] = spectrum.correct_probability()
     report.summary["incorrect_probability"] = 1.0 - spectrum.correct_probability()
-    within_two = sum(r["probability"] for r in rows if r["distance_to_correct"] <= 2)
-    total_listed = sum(r["probability"] for r in rows) or 1.0
+    within_two = sequential_sum([r["probability"] for r in rows if r["distance_to_correct"] <= 2])
+    total_listed = sequential_sum([r["probability"] for r in rows]) or 1.0
     report.summary["dominant_errors_within_distance_2"] = float(within_two / total_listed)
     return attach_engine_meta(report, engine)
 

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.distribution import Distribution
+from repro.core.distribution import Distribution, sequential_sum
 from repro.exceptions import DistributionError
 
 
@@ -60,11 +60,15 @@ __all__ = [
 def probability_of_successful_trial(
     distribution: Distribution, correct_outcomes: Sequence[str] | str
 ) -> float:
-    """PST: total probability assigned to the correct outcome(s)."""
+    """PST: total probability assigned to the correct outcome(s).
+
+    A left-to-right sum over ``correct_outcomes`` in the given order, each
+    looked up on the distribution's packed words.
+    """
     correct = [correct_outcomes] if isinstance(correct_outcomes, str) else list(correct_outcomes)
     if not correct:
         raise DistributionError("correct_outcomes must not be empty")
-    return float(sum(distribution.probability(outcome) for outcome in correct))
+    return sequential_sum([distribution.probability(outcome) for outcome in correct])
 
 
 def inference_strength(
@@ -75,18 +79,17 @@ def inference_strength(
     For circuits with multiple correct outcomes the *largest* correct
     probability is compared against the largest incorrect probability.
     Returns ``math.inf`` when no incorrect outcome appears in the support.
+    Correct outcomes are located on the packed words; no outcome string of
+    the support is rendered.
     """
     correct = [correct_outcomes] if isinstance(correct_outcomes, str) else list(correct_outcomes)
     if not correct:
         raise DistributionError("correct_outcomes must not be empty")
-    correct_set = set(correct)
     best_correct = max(distribution.probability(outcome) for outcome in correct)
     probabilities = distribution.probability_vector()
-    incorrect_mask = np.fromiter(
-        (outcome not in correct_set for outcome in distribution.outcomes()),
-        dtype=bool,
-        count=distribution.num_outcomes,
-    )
+    rows = distribution.support_indices(correct)
+    incorrect_mask = np.ones(distribution.num_outcomes, dtype=bool)
+    incorrect_mask[rows[rows >= 0]] = False
     if not incorrect_mask.any():
         return math.inf
     best_incorrect = float(probabilities[incorrect_mask].max())
@@ -143,8 +146,12 @@ def relative_improvement(baseline: float, improved: float) -> float:
 
 
 def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values (ignores non-finite entries)."""
+    """Geometric mean of strictly positive values (ignores non-finite entries).
+
+    The logarithms are summed left to right (:func:`sequential_sum`), so the
+    result does not depend on the Python version.
+    """
     usable = [v for v in values if math.isfinite(v) and v > 0]
     if not usable:
         raise DistributionError("geometric mean requires at least one positive finite value")
-    return float(math.exp(sum(math.log(v) for v in usable) / len(usable)))
+    return float(math.exp(sequential_sum([math.log(v) for v in usable]) / len(usable)))
